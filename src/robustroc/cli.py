@@ -116,8 +116,8 @@ def _population_report(sample: PopulationSample, fit, ecdf) -> dict:
         "residuals": list(_original_order(ecdf)),
         "weights": list(weights),
         "d_n": ecdf.d_n,
-        "t_bar_n": ecdf.t_bar_n,
-        "t_n": ecdf.t_n,
+        "t_bar_n": _finite_or_none(ecdf.t_bar_n),
+        "t_n": _finite_or_none(ecdf.t_n),
         "flagged_outliers": [int(i) for i in flagged],
     }
 
@@ -128,8 +128,15 @@ def _original_order(ecdf) -> np.ndarray:
     return out
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    """JSON has no infinity: an unbounded cut-off (no weighting) becomes null."""
+    return float(value) if np.isfinite(value) else None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a non-finite float raises instead of writing Infinity or NaN
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def cmd_fit(dataset: str, cfg: RunConfig, out_dir: Path) -> Path:

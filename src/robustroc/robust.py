@@ -18,6 +18,11 @@ from .models import (
 )
 
 
+_BISECT_ITERS = 60     # bisection halvings per M-scale in `_m_scale_batch`
+_SCREEN_SEEDS = 5      # candidates solved first to set the screening scale s*
+_SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
+
+
 class DegenerateScaleWarning(UserWarning):
     """Raised as a warning when the M-scale collapses to zero (exact-fit data)."""
 
@@ -88,21 +93,46 @@ def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
     return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def _m_scale_batch(R: np.ndarray, c: float, b: float, iters: int = 60) -> np.ndarray:
-    """Row-wise M-scale of R (m, n) by vectorized bisection; 0 rows get +inf."""
+def _scale_bracket(R: np.ndarray, b: float):
+    """Starting bisection bracket (lo, hi) of each row's M-scale, and the rows
+    that have a positive scale (more than a fraction b of nonzero residuals)."""
     absR = np.abs(R)
-    nz_frac = np.mean(R != 0.0, axis=1)
-    valid = nz_frac > b
+    valid = np.mean(R != 0.0, axis=1) > b
     lo = np.where(valid, np.min(np.where(absR > 0, absR, np.inf), axis=1) * 1e-3, 1.0)
     hi = np.where(valid, np.max(absR, axis=1) * 1e3, 1.0)
-    # mean rho(r/s) - b is > 0 at s = lo (approaches nz_frac - b) and < 0 at s = hi
-    for _ in range(iters):
+    return lo, hi, valid
+
+
+def _m_scale_batch(R: np.ndarray, c: float, b: float) -> np.ndarray:
+    """Row-wise M-scale of R (m, n) by vectorized bisection; 0 rows get +inf."""
+    lo, hi, valid = _scale_bracket(R, b)
+    # mean rho(r/s) - b is > 0 at s = lo (near the nonzero fraction minus b)
+    # and < 0 at s = hi
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         gmid = np.mean(bisquare_rho(R / mid[:, None], c), axis=1) - b
         lo = np.where(gmid > 0, mid, lo)
         hi = np.where(gmid > 0, hi, mid)
     out = 0.5 * (lo + hi)
     return np.where(valid, out, np.inf)
+
+
+def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
+    """Lowest-index row of R with the smallest `_m_scale_batch` scale, and that
+    scale, solving only the rows that the screen in `fit_mm_linear` keeps."""
+    seeds = np.argsort(np.median(np.abs(R), axis=1))[:_SCREEN_SEEDS]
+    s_star = float(np.min(_m_scale_batch(R[seeds], c, b)))
+    if np.isfinite(s_star):
+        lo, hi, valid = _scale_bracket(R, b)
+        cut = s_star * (1.0 + _SCREEN_SLACK) + (hi - lo) * 2.0 ** -_BISECT_ITERS
+        keep = valid & (np.mean(bisquare_rho(R / cut[:, None], c), axis=1) <= b)
+        keep[seeds] = True     # never empty, whatever the rounding
+        rows = np.flatnonzero(keep)
+    else:
+        rows = np.arange(R.shape[0])
+    scales = _m_scale_batch(R[rows], c, b)
+    best = int(np.argmin(scales))
+    return int(rows[best]), float(scales[best])
 
 
 def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -113,7 +143,21 @@ def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> RobustFit:
     """Linear MM fit: elemental-subset S-estimator for (beta_S, sigma) then a
-    fixed-scale bisquare M-step started at beta_S."""
+    fixed-scale bisquare M-step started at beta_S.
+
+    The S-search takes, over the n_subsamples elemental candidates, the one
+    whose residuals have the smallest M-scale (ties go to the lowest index).
+    It follows the screen of Salibian-Barrera & Yohai (2006, "A fast algorithm
+    for S-regression estimates"): mean rho(r/s) decreases in s, so a candidate
+    whose mean rho(r/s*) exceeds b has a scale above s* and cannot win. The
+    scales of the few candidates with the smallest median |r| set s*; one
+    vectorized pass of mean rho at s* finds the candidates that may still
+    beat it, and only those get a scale solve. The screen compares at s*
+    widened by a relative 1e-9 plus the row's final bisection bracket width,
+    so no row it drops could have reached a bisected scale <= s*. Each row's
+    bisection runs independently of the others, so the winner, its scale and
+    the whole fit are bit-identical to solving every candidate.
+    """
     from .models import linear_spec
 
     spec = linear_spec(sample.p, intercept)
@@ -132,15 +176,14 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
         idx[k] = rng.choice(n, size=q, replace=False)
     A = X[idx]                      # (m, q, q)
     B = y[idx]                      # (m, q)
-    ok = np.abs(np.linalg.det(A)) > 1e-12
+    # singularity relative to the column scales, so rescaling x keeps the same subsets
+    ok = np.abs(np.linalg.det(A)) > 1e-12 * np.prod(np.max(np.abs(X), axis=0))
     if not np.any(ok):
         raise ValueError("all elemental subsets were singular")
     betas = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
     R = y[None, :] - betas @ X.T
-    scales = _m_scale_batch(R, cfg.rho_s_tuning, cfg.breakdown_b)
-    best = int(np.argmin(scales))
+    best, s = _smallest_scale_row(R, cfg.rho_s_tuning, cfg.breakdown_b)
     beta = betas[best]
-    s = float(scales[best])
 
     yscale = max(float(np.max(np.abs(y))), 1.0)
     s_floor = 1e-10 * yscale

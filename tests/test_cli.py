@@ -174,6 +174,31 @@ class TestCmdRoc:
         assert len(meta["diseased"]["beta_hat"]) == 2
 
 
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name}: non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("variant", ["classical", "robust", "hybrid"])
+def test_json_outputs_are_strict(tmp_path, variant):
+    data = _clean_dataset(tmp_path, n=40, seed=8)
+    for command, name in (("fit", "fit_report.json"), ("roc", "roc_meta.json")):
+        assert _run([command, data, "--variant", variant, "--out", tmp_path,
+                     "--seed", "8"]) == 0
+        payload = _strict_json(tmp_path / name)
+        assert payload["variant"] == variant
+    report = _strict_json(tmp_path / "fit_report.json")
+    for group in ("diseased", "healthy"):
+        if variant == "robust":
+            assert report[group]["t_n"] >= report[group]["t_bar_n"]
+        else:
+            # no adaptive cut-off: the unbounded t_n and t_bar_n are null
+            assert report[group]["t_n"] is None
+            assert report[group]["t_bar_n"] is None
+
+
 class TestCmdSimulate:
     INI = ("[simulate]\nscenario = linear\nn_rep = 5\n"
            "contamination = shift_both\ndelta = 0.05\n[output]\nseed = 11\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from robustroc import robust
 from robustroc import (
     DegenerateScaleWarning,
     Group,
@@ -158,6 +159,151 @@ class TestFitMMLinear:
         bad = fit_mm_linear(PopulationSample(Group.HEALTHY, y_bad, x),
                             intercept=True, cfg=CFG)
         assert np.max(np.abs(bad.beta_hat - clean.beta_hat)) < 1.0
+
+    def test_tiny_covariate_units_fit(self):
+        # the design has rank 2, but every elemental |det| is below 1e-12
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1, 1, 100) * 1e-13
+        y = 1 + 2e13 * x + rng.standard_normal(100)
+        fit = fit_mm_linear(PopulationSample(Group.HEALTHY, y, x),
+                            intercept=True, cfg=MMConfig(seed=1))
+        assert abs(fit.beta_hat[0] - 1.0) < 0.5
+        assert abs(fit.beta_hat[1] * 1e-13 - 2.0) < 0.5
+        assert fit.sigma_hat > 0 and not fit.degenerate_scale
+
+    @given(st.integers(min_value=-12, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_covariate_scale_equivariance(self, k, seed):
+        c = 10.0 ** k
+        s, x, y = _linear_sample(seed, n=60, contaminate=6)
+        # the stopping rule max |delta beta| < tol is absolute, so a loose tol
+        # would stop the iterations at points that depend on the units of x
+        cfg = MMConfig(seed=seed, n_subsamples=100, tol=1e-12)
+        fit0 = fit_mm_linear(s, intercept=True, cfg=cfg)
+        fit1 = fit_mm_linear(PopulationSample(Group.HEALTHY, y, c * x),
+                             intercept=True, cfg=cfg)
+        assert fit1.beta_hat[1] * c == pytest.approx(fit0.beta_hat[1], rel=1e-6)
+        assert fit1.sigma_hat == pytest.approx(fit0.sigma_hat, rel=1e-6)
+
+
+def _exhaustive_m_scale_batch(R, c, b):
+    """Row-wise bisection M-scale as the S-search used it before screening."""
+    absR = np.abs(R)
+    nz_frac = np.mean(R != 0.0, axis=1)
+    valid = nz_frac > b
+    lo = np.where(valid, np.min(np.where(absR > 0, absR, np.inf), axis=1) * 1e-3, 1.0)
+    hi = np.where(valid, np.max(absR, axis=1) * 1e3, 1.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        gmid = np.mean(bisquare_rho(R / mid[:, None], c), axis=1) - b
+        lo = np.where(gmid > 0, mid, lo)
+        hi = np.where(gmid > 0, hi, mid)
+    out = 0.5 * (lo + hi)
+    return np.where(valid, out, np.inf)
+
+
+class TestScreenedSSearch:
+    """The screened S-search returns exactly what scoring every candidate does."""
+
+    @staticmethod
+    def _fit_pair(sample, cfg, monkeypatch):
+        screened = fit_mm_linear(sample, intercept=True, cfg=cfg)
+        seen = []
+
+        def exhaustive(R, c, b):
+            scales = _exhaustive_m_scale_batch(R, c, b)
+            seen.append(scales)
+            best = int(np.argmin(scales))
+            return best, float(scales[best])
+
+        with monkeypatch.context() as m:
+            m.setattr(robust, "_smallest_scale_row", exhaustive)
+            reference = fit_mm_linear(sample, intercept=True, cfg=cfg)
+        return screened, reference, seen[0]
+
+    @staticmethod
+    def _assert_identical(screened, reference):
+        assert np.array_equal(screened.beta_hat, reference.beta_hat)
+        assert screened.sigma_hat == reference.sigma_hat
+        assert screened.iterations == reference.iterations
+        assert screened.converged == reference.converged
+        assert screened.degenerate_scale == reference.degenerate_scale
+
+    @pytest.mark.parametrize("contaminate", [0, 5, 10, 20])
+    def test_bit_identical_to_exhaustive_search(self, contaminate, monkeypatch):
+        for seed in range(12):
+            s, _, _ = _linear_sample(seed, n=100, contaminate=contaminate)
+            screened, reference, _ = self._fit_pair(s, MMConfig(seed=seed),
+                                                    monkeypatch)
+            self._assert_identical(screened, reference)
+
+    def test_gross_outliers_bit_identical(self, monkeypatch):
+        # residuals up to ~1e6 scales stretch every bisection bracket
+        for seed in range(6):
+            _, x, y = _linear_sample(seed, n=100)
+            y[:20] = 1e6
+            s = PopulationSample(Group.HEALTHY, y, x)
+            screened, reference, _ = self._fit_pair(s, MMConfig(seed=seed),
+                                                    monkeypatch)
+            self._assert_identical(screened, reference)
+
+    def test_duplicate_subsets_bit_identical(self, monkeypatch):
+        # C(7, 2) = 21 distinct pairs among 300 draws: equal scales tie
+        for seed in range(5):
+            s, _, _ = _linear_sample(seed, n=7)
+            screened, reference, scales = self._fit_pair(
+                s, MMConfig(seed=seed, n_subsamples=300), monkeypatch)
+            assert np.sum(scales == np.min(scales)) > 1
+            self._assert_identical(screened, reference)
+
+    @staticmethod
+    def _exhaustive_row(R):
+        scales = _exhaustive_m_scale_batch(R, CFG.rho_s_tuning, CFG.breakdown_b)
+        best = int(np.argmin(scales))
+        return best, float(scales[best])
+
+    def test_tie_goes_to_lowest_index(self):
+        # 300 rows drawn from 12 distinct residual vectors: the smallest scale
+        # is shared by several rows, and the first of them must win
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            distinct = rng.standard_normal((12, 40)) * rng.uniform(0.5, 2.0, (12, 1))
+            R = distinct[rng.integers(0, 12, size=300)]
+            scales = _exhaustive_m_scale_batch(R, CFG.rho_s_tuning, CFG.breakdown_b)
+            assert np.sum(scales == np.min(scales)) > 1
+            got = robust._smallest_scale_row(R, CFG.rho_s_tuning, CFG.breakdown_b)
+            assert got == self._exhaustive_row(R)
+
+    def test_wide_bracket_row_is_not_screened_out(self):
+        # row 5's exact scale lies 1.2e-9 (relative) above that of the equal
+        # rows 0-4, but its residual of 1e8 widens its bisection bracket so
+        # that its bisected scale lands below theirs; a purely relative
+        # screening slack of 1e-9 would drop it
+        r = np.random.default_rng(0).standard_normal(100)
+        a = r.copy()
+        a[0] = 10.0
+        w = r * (1 + 1.2e-9)
+        w[0] = 1e8
+        R = np.vstack([np.tile(a, (5, 1)), w])
+        expected = self._exhaustive_row(R)
+        assert expected[0] == 5
+        got = robust._smallest_scale_row(R, CFG.rho_s_tuning, CFG.breakdown_b)
+        assert got == expected
+
+    @pytest.mark.parametrize("y", [
+        [1.0, 3.0, 5.0, 7.0, 9.0],   # exact line: all residuals zero
+        [1.0, 3.0, 5.0, 13.0],       # one off the line: every pair leaves
+    ])                               # at most half nonzero residuals
+    def test_all_scales_infinite_falls_back(self, y, monkeypatch):
+        # integer data with integer pair slopes, so the zeros are exact
+        x = np.arange(float(len(y)))
+        s = PopulationSample(Group.HEALTHY, y, x)
+        with pytest.warns(DegenerateScaleWarning):
+            screened, reference, scales = self._fit_pair(s, CFG, monkeypatch)
+        assert np.all(np.isinf(scales))
+        assert screened.degenerate_scale and screened.sigma_hat == 0.0
+        self._assert_identical(screened, reference)
 
 
 def _exp_sample(seed, n=200, shift=None, frac=0.1):

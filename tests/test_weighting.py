@@ -1,7 +1,7 @@
 """Adaptive cut-off, residual weights, weighted ECDF and weighted quantiles."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -176,13 +176,20 @@ class TestWeightedEcdf:
         assert np.median(sups) < 0.03
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(seed=82965048)  # t_n on the smallest |r_i|: zero total weight
     @settings(max_examples=100, deadline=None)
     def test_quantile_cdf_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(rng.integers(2, 60)) * rng.uniform(0.1, 3.0)
-        ecdf = build_weighted_ecdf(r, smooth_polynomial(),
-                                   normal_reference(rng.uniform(0.5, 2.0)),
-                                   eta=2.5)
+        w = smooth_polynomial()
+        ref = normal_reference(rng.uniform(0.5, 2.0))
+        _, t_n, _ = adaptive_cutoff(r, ref, eta=2.5)
+        if not np.any(w.eval(r / t_n) > 0):
+            # every residual at or beyond the cut-off has no ECDF to invert
+            with pytest.raises(ValueError, match="zero total weight"):
+                build_weighted_ecdf(r, w, ref, eta=2.5)
+            return
+        ecdf = build_weighted_ecdf(r, w, ref, eta=2.5)
         for q in rng.uniform(0.01, 0.99, 5):
             t = ecdf.quantile(q)
             assert ecdf.cdf(t) >= q
