@@ -5,7 +5,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,7 @@ from .models import (
     linear_spec,
     standardized_residuals,
 )
-from .robust import fit_least_squares, fit_mm_linear, fit_mm_nonlinear
+from .robust import MMConfig, fit_least_squares, fit_mm_linear, fit_mm_nonlinear
 from .roc import (
     ConditionalRocModel,
     MarkerTransform,
@@ -230,10 +230,35 @@ def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Pa
     return surf_path, auc_path, meta_path
 
 
+# Settings a campaign does not apply yet: its scenario fixes the model, the
+# variants, the weight function and the grids, and run_campaign its MM tuning.
+_SIMULATE_UNAPPLIED = {
+    "family": "[model] family (--model)",
+    "transform": "[model] transform",
+    "variant": "[fit] variant (--variant)",
+    "weight_kind": "[weights] kind (--weights)",
+    **{attr: f"[grids] {attr}"
+       for attr in ("p_min", "p_max", "p_count", "x_min", "x_max", "x_count")},
+}
+
+
+def _check_simulate_settings(cfg: RunConfig) -> None:
+    """Reject, by name, each setting `simulate` would drop that is not at its default."""
+    default = RunConfig()
+    unapplied = [name for attr, name in _SIMULATE_UNAPPLIED.items()
+                 if getattr(cfg, attr) != getattr(default, attr)]
+    unapplied += [f"[fit] {f.name}" for f in fields(MMConfig) if f.name != "seed"
+                  and getattr(cfg.mm, f.name) != getattr(default.mm, f.name)]
+    if unapplied:
+        raise UsageError("simulate does not apply these settings yet; remove them "
+                         "or give their defaults: " + ", ".join(unapplied))
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path,
                  variants: Optional[list] = None) -> Path:
     """Run a replication campaign and export the metrics report (and, when
     requested, the per-replication AUC matrix per variant)."""
+    _check_simulate_settings(cfg)
     if variants is None:
         variants = [Variant.CLASSICAL, Variant.ROBUST]
     try:

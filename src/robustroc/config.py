@@ -87,6 +87,14 @@ def _parse_num(cast, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r}") from None
 
 
+def _parse_weight_kind(raw: str, where: str) -> WeightKind:
+    kind = _parse_enum(WeightKind, raw, where)
+    if kind is WeightKind.CUSTOM:
+        raise ConfigError(f"{where}: a custom weight function is built in code, "
+                          "not named in a config; use hard or smooth")
+    return kind
+
+
 # section -> key -> (RunConfig attribute, parser)
 _SCHEMA = {
     "model": {
@@ -104,7 +112,7 @@ _SCHEMA = {
     },
     "weights": {
         "eta": ("eta", lambda r, w: _parse_num(float, r, w)),
-        "kind": ("weight_kind", lambda r, w: _parse_enum(WeightKind, r, w)),
+        "kind": ("weight_kind", _parse_weight_kind),
     },
     "grids": {
         "p_min": ("p_min", lambda r, w: _parse_num(float, r, w)),

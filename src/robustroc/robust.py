@@ -55,13 +55,29 @@ class MMConfig:
 def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
     """Tukey bisquare loss normalized so rho(inf) = 1."""
     z = np.square(np.asarray(u, dtype=float) / c)
-    return np.where(z >= 1.0, 1.0, 1.0 - (1.0 - np.minimum(z, 1.0)) ** 3)
+    # min(z, 1) makes rho exactly 1.0 for |u| >= c, inf included; NaN stays NaN
+    return 1.0 - (1.0 - np.minimum(z, 1.0)) ** 3
 
 
 def bisquare_weight(u: np.ndarray, c: float) -> np.ndarray:
     """IRLS weight rho'(u)/u (up to a constant): (1 - (u/c)^2)^2 inside [-c, c]."""
     z = np.square(np.asarray(u, dtype=float) / c)
-    return np.where(z >= 1.0, 0.0, (1.0 - np.minimum(z, 1.0)) ** 2)
+    # min(z, 1) makes the weight exactly 0.0 for |u| >= c, inf included
+    return (1.0 - np.minimum(z, 1.0)) ** 2
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty 1-d array, by the same partition without the
+    wrapper: the middle order statistic, the two middle ones summed and
+    halved for even n, and NaN when a holds a NaN (partition puts it last)."""
+    k = a.size // 2
+    if a.size % 2:
+        part = np.partition(a, (k, -1))
+        mid = part[k]
+    else:
+        part = np.partition(a, (k - 1, k, -1))
+        mid = (part[k - 1] + part[k]) / 2
+    return float(np.nan if np.isnan(part[-1]) else mid)
 
 
 def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
@@ -70,21 +86,38 @@ def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
     Returns 0.0 with a DegenerateScaleWarning when no positive root exists, i.e.
     when the fraction of nonzero residuals does not exceed b (all-zero residuals
     and exact fits on more than half the data fall in this case).
+
+    The root is bracketed by halving and doubling from the median of the
+    nonzero |r|, then refined by brentq. Three shortcuts skip work without
+    changing a bit of the result against np.median, np.mean and a root
+    function without memory:
+    - `_median` partitions as np.median does and adds the same two middle
+      values in the same order, so it returns the same float;
+    - mean rho is np.add.reduce(...) / n, the pairwise sum and division that
+      np.mean does;
+    - the root function remembers its values by s. Both bracket loops start
+      at the median, and brentq evaluates both bracket ends again. The
+      function is pure, so a stored value is the one a new evaluation would
+      compute, and brentq sees the same values at the same points.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
+    n = r.size
+    if n == 0:
         raise ValueError("residuals must be nonempty")
     nonzero = r[r != 0.0]
-    if nonzero.size / r.size <= cfg.breakdown_b:
+    if nonzero.size / n <= cfg.breakdown_b:
         warnings.warn("degenerate M-scale: too many exactly-zero residuals",
                       DegenerateScaleWarning)
         return 0.0
     c, b = cfg.rho_s_tuning, cfg.breakdown_b
+    seen: dict = {}
 
     def g(s):
-        return float(np.mean(bisquare_rho(r / s, c))) - b
+        if s not in seen:
+            seen[s] = float(np.add.reduce(bisquare_rho(r / s, c), axis=None) / n) - b
+        return seen[s]
 
-    s0 = float(np.median(np.abs(nonzero)))
+    s0 = _median(np.abs(nonzero))
     lo = hi = s0
     while g(lo) <= 0:
         lo /= 2.0
@@ -194,29 +227,36 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
                          method=FitMethod.MM_LINEAR, converged=True, iterations=0,
                          degenerate_scale=True)
 
-    # IRLS refinement of the S-estimator: each reweighted step may only lower the scale
+    # IRLS refinement of the S-estimator: each reweighted step may only lower the scale.
+    # The residuals of an accepted step are kept for the next one; the first
+    # are computed afresh, since the row of R comes from another matrix product.
     iters = 0
-    for _ in range(cfg.max_iter):
-        iters += 1
-        u = (y - X @ beta) / s
-        w = bisquare_weight(u, cfg.rho_s_tuning)
-        if not np.any(w > 0):
-            break
-        beta_new = _wls(X, y, w)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateScaleWarning)
-            s_new = m_scale(y - X @ beta_new, cfg)
-        if s_new <= s_floor:
-            warnings.warn("degenerate M-scale in linear MM fit", DegenerateScaleWarning)
-            return RobustFit(spec=spec, beta_hat=beta_new, sigma_hat=0.0,
-                             method=FitMethod.MM_LINEAR, converged=True,
-                             iterations=iters, degenerate_scale=True)
-        if s_new > s:
-            break
-        delta = np.max(np.abs(beta_new - beta))
-        beta, s = beta_new, s_new
-        if delta < cfg.tol:
-            break
+    r = y - X @ beta
+    degenerate = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScaleWarning)
+        for _ in range(cfg.max_iter):
+            iters += 1
+            w = bisquare_weight(r / s, cfg.rho_s_tuning)
+            if not np.any(w > 0):
+                break
+            beta_new = _wls(X, y, w)
+            r_new = y - X @ beta_new
+            s_new = m_scale(r_new, cfg)
+            if s_new <= s_floor:
+                degenerate = True
+                break
+            if s_new > s:
+                break
+            delta = np.max(np.abs(beta_new - beta))
+            beta, s, r = beta_new, s_new, r_new
+            if delta < cfg.tol:
+                break
+    if degenerate:
+        warnings.warn("degenerate M-scale in linear MM fit", DegenerateScaleWarning)
+        return RobustFit(spec=spec, beta_hat=beta_new, sigma_hat=0.0,
+                         method=FitMethod.MM_LINEAR, converged=True,
+                         iterations=iters, degenerate_scale=True)
     sigma = s
 
     # M-step: bisquare IRLS at fixed scale sigma
@@ -239,15 +279,15 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
 
 
 def _gauss_newton_scale(y, x, spec, beta0, cfg):
-    """Reweighted Gauss-Newton descent of the M-scale objective from beta0."""
+    """Reweighted Gauss-Newton descent of the M-scale objective from beta0.
+
+    The caller silences DegenerateScaleWarning, once per start."""
     beta = np.asarray(beta0, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateScaleWarning)
-        s = m_scale(y - spec.predict(x, beta), cfg)
+    r = y - spec.predict(x, beta)
+    s = m_scale(r, cfg)
     for _ in range(cfg.max_iter):
         if s == 0.0 or not np.isfinite(s):
             break
-        r = y - spec.predict(x, beta)
         w = bisquare_weight(r / s, cfg.rho_s_tuning)
         if not np.any(w > 0):
             break
@@ -257,11 +297,10 @@ def _gauss_newton_scale(y, x, spec, beta0, cfg):
         accepted = False
         for _ in range(12):
             cand = beta + step
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateScaleWarning)
-                s_cand = m_scale(y - spec.predict(x, cand), cfg)
+            r_cand = y - spec.predict(x, cand)
+            s_cand = m_scale(r_cand, cfg)
             if s_cand < s:
-                beta, s = cand, s_cand
+                beta, s, r = cand, s_cand, r_cand
                 accepted = True
                 break
             step = step / 2.0
@@ -290,7 +329,9 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
     best_beta, best_s = None, np.inf
     for b0 in starts:
         try:
-            beta, s = _gauss_newton_scale(y, x, spec, b0, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateScaleWarning)
+                beta, s = _gauss_newton_scale(y, x, spec, b0, cfg)
         except np.linalg.LinAlgError:
             continue
         if s < best_s:

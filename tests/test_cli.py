@@ -47,6 +47,12 @@ class TestExitCodes:
         data = _clean_dataset(tmp_path, n=20)
         assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 1
 
+    def test_custom_weight_kind_is_a_config_error(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[weights]\nkind = custom\n")
+        data = _clean_dataset(tmp_path, n=20)
+        assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 1
+
     def test_numerical_failure(self, tmp_path):
         # two observations cannot support an intercept+slope robust fit
         path = tmp_path / "tiny.csv"
@@ -228,6 +234,31 @@ class TestCmdSimulate:
             rows = list(csv.reader(fh))
         assert len(rows) == 3          # header + 2 replications
         assert len(rows[0]) == 42      # 'rep' + 41 x-grid columns
+
+    def test_unapplied_settings_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(self.INI + "[fit]\nn_subsamples = 1\n[grids]\np_count = 5\n")
+        code = _run(["simulate", "--config", ini, "--variant", "classical",
+                     "--model", "exponential", "--weights", "smooth",
+                     "--out", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        for name in ("[fit] n_subsamples", "[grids] p_count", "[fit] variant",
+                     "[model] family", "[weights] kind"):
+            assert name in err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_settings_at_their_defaults_accepted(self, tmp_path):
+        # the README's INI example names default values only
+        ini = tmp_path / "run.ini"
+        ini.write_text("[fit]\nvariant = robust\n[weights]\neta = 2.5\n"
+                       "kind = hard\n[simulate]\nscenario = linear\nn_rep = 1\n"
+                       "contamination = shift_both\ndelta = 0.05\n"
+                       "[output]\nseed = 101\n")
+        assert _run(["simulate", "--config", ini, "--variant", "robust",
+                     "--model", "linear", "--weights", "hard",
+                     "--out", tmp_path]) == 0
+        assert (tmp_path / "metrics.csv").exists()
 
     def test_invalid_scheme_rejected_at_parse_time(self, tmp_path):
         ini = tmp_path / "run.ini"

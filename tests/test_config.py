@@ -78,6 +78,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="is not one of"):
             load_config(_write(tmp_path, "[fit]\nvariant = bogus\n"))
 
+    def test_custom_weight_kind_rejected(self, tmp_path):
+        # a custom weight function has no name to load it by
+        with pytest.raises(ConfigError, match=r"\[weights\] kind"):
+            load_config(_write(tmp_path, "[weights]\nkind = custom\n"))
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(_write(tmp_path, "[weights]\neta = two\n"))

@@ -1,22 +1,29 @@
 """Robust (MM) and least-squares fitting, plus the M-scale of residuals."""
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from robustroc import robust
 from robustroc import (
+    ContaminationKind,
+    ContaminationScheme,
     DegenerateScaleWarning,
     Group,
     MMConfig,
     PopulationSample,
+    ScenarioKind,
+    ScenarioSpec,
     bisquare_rho,
     bisquare_weight,
     exponential_spec,
     fit_least_squares,
     fit_mm_linear,
     fit_mm_nonlinear,
+    generate,
     linear_spec,
     m_scale,
 )
@@ -389,3 +396,214 @@ class TestFitLeastSquares:
         resid = y - X @ beta
         assert fit.sigma_hat == pytest.approx(
             np.sqrt(np.sum(resid ** 2) / 48), rel=1e-12)
+
+
+# The M-scale and its callers as they were written before the fast M-scale:
+# np.where in the bisquare functions, np.median and np.mean in m_scale, every
+# root-function value computed afresh, the residuals of an accepted
+# Gauss-Newton step predicted again, and a warnings guard around every call.
+
+def _reference_bisquare_rho(u, c):
+    z = np.square(np.asarray(u, dtype=float) / c)
+    return np.where(z >= 1.0, 1.0, 1.0 - (1.0 - np.minimum(z, 1.0)) ** 3)
+
+
+def _reference_bisquare_weight(u, c):
+    z = np.square(np.asarray(u, dtype=float) / c)
+    return np.where(z >= 1.0, 0.0, (1.0 - np.minimum(z, 1.0)) ** 2)
+
+
+def _reference_m_scale(residuals, cfg):
+    r = np.asarray(residuals, dtype=float)
+    if r.size == 0:
+        raise ValueError("residuals must be nonempty")
+    nonzero = r[r != 0.0]
+    if nonzero.size / r.size <= cfg.breakdown_b:
+        warnings.warn("degenerate M-scale: too many exactly-zero residuals",
+                      DegenerateScaleWarning)
+        return 0.0
+    c, b = cfg.rho_s_tuning, cfg.breakdown_b
+
+    def g(s):
+        return float(np.mean(_reference_bisquare_rho(r / s, c))) - b
+
+    s0 = float(np.median(np.abs(nonzero)))
+    lo = hi = s0
+    while g(lo) <= 0:
+        lo /= 2.0
+    while g(hi) > 0:
+        hi *= 2.0
+    return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+
+
+def _reference_gauss_newton_scale(y, x, spec, beta0, cfg):
+    beta = np.asarray(beta0, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScaleWarning)
+        s = robust.m_scale(y - spec.predict(x, beta), cfg)
+    for _ in range(cfg.max_iter):
+        if s == 0.0 or not np.isfinite(s):
+            break
+        r = y - spec.predict(x, beta)
+        w = _reference_bisquare_weight(r / s, cfg.rho_s_tuning)
+        if not np.any(w > 0):
+            break
+        J = np.asarray(spec.gradient(np.atleast_2d(x), beta), dtype=float)
+        sw = np.sqrt(w)
+        step, *_ = np.linalg.lstsq(J * sw[:, None], r * sw, rcond=None)
+        accepted = False
+        for _ in range(12):
+            cand = beta + step
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateScaleWarning)
+                s_cand = robust.m_scale(y - spec.predict(x, cand), cfg)
+            if s_cand < s:
+                beta, s = cand, s_cand
+                accepted = True
+                break
+            step = step / 2.0
+        if not accepted or np.max(np.abs(step)) < cfg.tol:
+            break
+    return beta, s
+
+
+class TestFastMScale:
+    """The fast M-scale and its callers return the bits of the reference code."""
+
+    @staticmethod
+    def _outcome(fn, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                return fn(r, CFG)
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+    @given(st.integers(min_value=1, max_value=80),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=-8, max_value=8),
+           st.floats(min_value=0.0, max_value=8.0),
+           st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=80))
+    @example(n=7, seed=0, log_scale=0, log_spread=0.0, zeros=2, infs=1)
+    @example(n=8, seed=0, log_scale=0, log_spread=0.0, zeros=2, infs=1)
+    @example(n=8, seed=1, log_scale=-8, log_spread=8.0, zeros=4, infs=0)
+    @example(n=9, seed=2, log_scale=8, log_spread=0.0, zeros=0, infs=5)
+    @settings(max_examples=300, deadline=None)
+    def test_m_scale_bit_identical(self, n, seed, log_scale, log_spread, zeros, infs):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(n) * 10.0 ** (log_scale
+                                              + rng.uniform(-log_spread, log_spread, n))
+        zeros = min(zeros, n)
+        infs = min(infs, n - zeros)
+        where = rng.permutation(n)
+        r[where[:zeros]] = 0.0
+        r[where[zeros:zeros + infs]] = rng.choice([-np.inf, np.inf], size=infs)
+        got = self._outcome(m_scale, r)
+        assert got == self._outcome(_reference_m_scale, r)
+
+    def test_nan_residual_still_raises(self):
+        for r in ([1.0, np.nan, 2.0, 3.0], [1.0, np.nan, 2.0], [np.nan, np.nan]):
+            with pytest.raises(ValueError) as exc:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    m_scale(np.array(r), CFG)
+            assert str(exc.value) == self._outcome(
+                _reference_m_scale, np.array(r))[len("ValueError: "):]
+
+    @pytest.mark.parametrize("c", [1.54764, 4.685])
+    def test_bisquare_matches_where_form(self, c):
+        u = np.array([0.0, 0.5 * c, c, -c, np.nextafter(c, 0.0),
+                      np.nextafter(c, np.inf), 10.0 * c, -1e300,
+                      np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore"):     # (-1e300 / c)^2 is inf
+            pairs = [(bisquare_rho, _reference_bisquare_rho),
+                     (bisquare_weight, _reference_bisquare_weight)]
+            for fast, reference in pairs:
+                assert np.array_equal(fast(u, c), reference(u, c), equal_nan=True)
+                for v in u:
+                    assert np.array_equal(fast(v, c), reference(v, c), equal_nan=True)
+
+    @staticmethod
+    def _reference_patches(m):
+        calls = []
+
+        def counted_m_scale(r, cfg):
+            calls.append(1)
+            return _reference_m_scale(r, cfg)
+
+        m.setattr(robust, "bisquare_rho", _reference_bisquare_rho)
+        m.setattr(robust, "bisquare_weight", _reference_bisquare_weight)
+        m.setattr(robust, "m_scale", counted_m_scale)
+        return calls
+
+    @staticmethod
+    def _assert_identical(fast, reference):
+        assert np.array_equal(fast.beta_hat, reference.beta_hat)
+        assert fast.sigma_hat == reference.sigma_hat
+        assert fast.iterations == reference.iterations
+        assert fast.converged == reference.converged
+
+    @pytest.mark.parametrize("contaminated", [False, True])
+    def test_nonlinear_fit_bit_identical(self, contaminated, monkeypatch):
+        scheme = (ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, delta=0.05,
+                                      shift_s=10.0) if contaminated
+                  else ContaminationScheme(ContaminationKind.NONE))
+        spec = exponential_spec()
+        for seed in range(3):
+            scenario = ScenarioSpec(ScenarioKind.NONLINEAR, 100, 100, seed=seed)
+            for sample in generate(scenario, scheme, np.random.default_rng(seed)):
+                beta = scenario.params["beta_D" if sample.label is Group.DISEASED
+                                       else "beta_H"]
+                cfg = MMConfig(n_subsamples=8, seed=seed)
+                fast_calls = []
+                with monkeypatch.context() as m:
+                    # counts the calls the fast code makes through the module name
+                    m.setattr(robust, "m_scale",
+                              lambda r, c: fast_calls.append(1) or m_scale(r, c))
+                    fast = fit_mm_nonlinear(sample, spec, 0.9 * beta, cfg)
+                with monkeypatch.context() as m:
+                    ref_calls = self._reference_patches(m)
+                    m.setattr(robust, "_gauss_newton_scale",
+                              _reference_gauss_newton_scale)
+                    reference = fit_mm_nonlinear(sample, spec, 0.9 * beta, cfg)
+                self._assert_identical(fast, reference)
+                assert len(fast_calls) == len(ref_calls) > 0
+
+    @pytest.mark.parametrize("contaminate", [0, 10])
+    def test_linear_fit_bit_identical(self, contaminate, monkeypatch):
+        for seed in range(4):
+            s, _, _ = _linear_sample(seed, n=100, contaminate=contaminate)
+            fast = fit_mm_linear(s, intercept=True, cfg=MMConfig(seed=seed))
+            with monkeypatch.context() as m:
+                calls = self._reference_patches(m)
+                reference = fit_mm_linear(s, intercept=True, cfg=MMConfig(seed=seed))
+            self._assert_identical(fast, reference)
+            assert len(calls) > 0
+
+    def test_linear_s_refinement_weighs_current_residuals(self, monkeypatch):
+        # each IRLS step after the first weighs y - X beta of the step before,
+        # with the bits of residuals computed afresh from that beta
+        sample, _, y = _linear_sample(5, n=100, contaminate=10)
+        X = robust.design_matrix(sample.x, True)
+        steps = []                       # [w, beta_new, s_new] per S-step
+        wls = robust._wls
+
+        def recording_wls(X_, y_, w):
+            beta = wls(X_, y_, w)
+            steps.append([w, beta])
+            return beta
+
+        def recording_m_scale(r, cfg):
+            s = m_scale(r, cfg)
+            steps[-1].append(s)
+            return s
+
+        monkeypatch.setattr(robust, "_wls", recording_wls)
+        monkeypatch.setattr(robust, "m_scale", recording_m_scale)
+        fit_mm_linear(sample, intercept=True, cfg=MMConfig(seed=5))
+        s_steps = [step for step in steps if len(step) == 3]
+        assert len(s_steps) > 2
+        for (_, beta, s), (w, _, _) in zip(s_steps, s_steps[1:]):
+            expected = bisquare_weight((y - X @ beta) / s, CFG.rho_s_tuning)
+            assert np.array_equal(w, expected)
