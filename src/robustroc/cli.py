@@ -60,28 +60,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
-    """Log-linear starting point for y ~ b1 * exp(b2 * x); needs positive y."""
-    mask = sample.y > 0
-    if mask.sum() < 2:
-        raise ValueError("exponential fits need at least two positive marker values")
-    x = sample.x[mask, 0]
-    coef = np.polynomial.polynomial.polyfit(x, np.log(sample.y[mask]), 1)
-    return np.array([np.exp(coef[0]), coef[1]])
-
-
 def _fit_population(sample: PopulationSample, cfg: RunConfig):
+    if cfg.family is Family.LINEAR:
+        spec = linear_spec(sample.p, intercept=True)
+    else:
+        spec = exponential_spec()
     if cfg.variant is Variant.CLASSICAL:
-        if cfg.family is Family.LINEAR:
-            return fit_least_squares(sample, linear_spec(sample.p, intercept=True))
-        return fit_least_squares(sample, exponential_spec(),
-                                 beta_init=_initial_beta_exponential(sample))
+        return fit_least_squares(sample, spec)
     mm = replace(cfg.mm, seed=cfg.seed)
     if cfg.family is Family.LINEAR:
         return fit_mm_linear(sample, intercept=True, cfg=mm)
-    mm = replace(mm, n_subsamples=min(mm.n_subsamples, 16))
-    return fit_mm_nonlinear(sample, exponential_spec(),
-                            _initial_beta_exponential(sample), mm)
+    return fit_mm_nonlinear(sample, spec, mm)
 
 
 def _residual_ecdf(residuals, cfg: RunConfig):

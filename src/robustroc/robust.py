@@ -21,6 +21,8 @@ from .models import (
 _BISECT_ITERS = 60     # bisection halvings per M-scale in `_m_scale_batch`
 _SCREEN_SEEDS = 5      # candidates solved first to set the screening scale s*
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
+# largest |residual| whose bisection bracket `_scale_bracket` can widen by 1e3
+_MAX_ABS_RESIDUAL = np.finfo(float).max / 1e3
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -152,7 +154,8 @@ def _m_scale_batch(R: np.ndarray, c: float, b: float) -> np.ndarray:
 
 def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     """Lowest-index row of R with the smallest `_m_scale_batch` scale, and that
-    scale, solving only the rows that the screen in `fit_mm_linear` keeps."""
+    scale, solving only the rows that the screen described in `fit_mm_linear`
+    keeps. The rows of R are the residuals of the elemental candidates."""
     seeds = np.argsort(np.median(np.abs(R), axis=1))[:_SCREEN_SEEDS]
     s_star = float(np.min(_m_scale_batch(R[seeds], c, b)))
     if np.isfinite(s_star):
@@ -281,7 +284,7 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
 def _gauss_newton_scale(y, x, spec, beta0, cfg):
     """Reweighted Gauss-Newton descent of the M-scale objective from beta0.
 
-    The caller silences DegenerateScaleWarning, once per start."""
+    The caller silences DegenerateScaleWarning."""
     beta = np.asarray(beta0, dtype=float)
     r = y - spec.predict(x, beta)
     s = m_scale(r, cfg)
@@ -309,36 +312,68 @@ def _gauss_newton_scale(y, x, spec, beta0, cfg):
     return beta, s
 
 
+def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
+                       rng: np.random.Generator):
+    """Exact fits of y = b1 * exp(b2 * x) through m random pairs (i, j), i != j:
+    b2 = log(y_i / y_j) / (x_i - x_j) and b1 = y_i * exp(-b2 * x_i).
+
+    Returns the betas (k, 2), the residuals (k, n) and the pairs (k, 2) of the
+    k candidates kept. A pair with y_i / y_j <= 0 or x_i == x_j has no exact
+    fit, and a steep one can overflow; a candidate is kept only when its betas
+    and residuals are finite and `_scale_bracket` can still widen its largest
+    |r| by 1e3.
+    """
+    n = y.size
+    i = rng.integers(n, size=m)
+    j = rng.integers(n - 1, size=m)
+    j += j >= i
+    with np.errstate(all="ignore"):
+        b2 = np.log(y[i] / y[j]) / (x[i] - x[j])
+        b1 = y[i] * np.exp(-b2 * x[i])
+        R = y[None, :] - b1[:, None] * np.exp(b2[:, None] * x[None, :])
+    # the comparison is False for NaN, so it drops non-finite residuals too
+    ok = (np.isfinite(b1) & np.isfinite(b2)
+          & np.all(np.abs(R) <= _MAX_ABS_RESIDUAL, axis=1))
+    return (np.column_stack([b1[ok], b2[ok]]), R[ok],
+            np.column_stack([i[ok], j[ok]]))
+
+
 def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
-                     beta_init: np.ndarray, cfg: MMConfig) -> RobustFit:
-    """Nonlinear MM fit: S-stage minimizes the M-scale of residuals by reweighted
-    Gauss-Newton (beta_init plus n_subsamples random restarts), then a fixed-scale
-    bisquare M-stage."""
+                     cfg: MMConfig) -> RobustFit:
+    """Nonlinear MM fit of the exponential family y = b1 * exp(b2 * x).
+
+    The S-stage searches elemental subsets, as for nonlinear S-estimators
+    (Stromberg 1993; Maronna, Martin, Yohai & Salibian-Barrera 2019): each
+    of n_subsamples random pairs of distinct observations gives the curve
+    through both points (`_exponential_pairs`), the screened search of
+    `fit_mm_linear` takes the candidate whose residuals have the smallest
+    M-scale, and a reweighted Gauss-Newton descent of the M-scale refines
+    it into (beta_S, sigma). A fixed-scale bisquare M-stage follows.
+
+    Raises ValueError when n <= 2, when the covariate is constant (only
+    b1 * exp(b2 * x) is then identified, not b1 and b2), and when no drawn
+    pair has a finite exact fit.
+    """
     if spec.gradient is None:
         raise ValueError("nonlinear MM fitting requires a gradient")
-    beta_init = np.asarray(beta_init, dtype=float)
-    if not np.all(np.isfinite(beta_init)):
-        raise ValueError("beta_init must be finite")
+    if spec.family is not Family.EXPONENTIAL:
+        raise ValueError("elemental-pair starts exist for the exponential family only")
     x, y = sample.x, sample.y
+    n, q = sample.n, spec.coef_dim
+    if n <= q:
+        raise ValueError(f"need more than q = {q} observations, got {n}")
+    if np.all(x == x[0]):
+        raise ValueError("constant covariate: the exponential curve is not identified")
+
     rng = np.random.default_rng(cfg.seed)
-
-    starts = [beta_init]
-    for _ in range(cfg.n_subsamples):
-        starts.append(beta_init * rng.uniform(0.8, 1.2, size=beta_init.shape))
-
-    best_beta, best_s = None, np.inf
-    for b0 in starts:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateScaleWarning)
-                beta, s = _gauss_newton_scale(y, x, spec, b0, cfg)
-        except np.linalg.LinAlgError:
-            continue
-        if s < best_s:
-            best_beta, best_s = beta, s
-    if best_beta is None:
-        raise ValueError("S-stage failed from every starting value")
-    beta, sigma = best_beta, float(best_s)
+    betas, R, _ = _exponential_pairs(x[:, 0], y, cfg.n_subsamples, rng)
+    if betas.shape[0] == 0:
+        raise ValueError("no elemental pair has a finite exact fit")
+    best, _ = _smallest_scale_row(R, cfg.rho_s_tuning, cfg.breakdown_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScaleWarning)
+        beta, sigma = _gauss_newton_scale(y, x, spec, betas[best], cfg)
+    sigma = float(sigma)
 
     yscale = max(float(np.max(np.abs(y))), 1.0)
     if sigma <= 1e-10 * yscale:
@@ -387,10 +422,25 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
                      iterations=iters)
 
 
+def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
+    """Log-linear start for y ~ b1 * exp(b2 * x): least squares of log y on x
+    over the positive y, which needs two of them at distinct x."""
+    mask = sample.y > 0
+    x = sample.x[mask, 0]
+    if np.unique(x).size < 2:
+        raise ValueError("exponential fits need two positive marker values "
+                         "at distinct covariate values")
+    coef = np.polynomial.polynomial.polyfit(x, np.log(sample.y[mask]), 1)
+    return np.array([np.exp(coef[0]), coef[1]])
+
+
 def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
                       beta_init: Optional[np.ndarray] = None) -> RobustFit:
     """Ordinary (linear) or Gauss-Newton (nonlinear) least squares;
-    sigma_hat is the residual standard deviation with denominator n - q."""
+    sigma_hat is the residual standard deviation with denominator n - q.
+
+    An exponential fit starts from `_initial_beta_exponential` unless
+    beta_init is given; other nonlinear families need beta_init."""
     x, y = sample.x, sample.y
     n = sample.n
     q = spec.coef_dim
@@ -402,6 +452,8 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
         converged = True
         iters = 1
     else:
+        if beta_init is None and spec.family is Family.EXPONENTIAL:
+            beta_init = _initial_beta_exponential(sample)
         if spec.gradient is None or beta_init is None:
             raise ValueError("nonlinear least squares needs a gradient and beta_init")
         res = least_squares(

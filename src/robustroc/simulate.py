@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, Optional
 
@@ -210,36 +210,19 @@ def fit_variant_model(variant: Variant, sample_d: PopulationSample,
     """
     ref = standard_normal_reference()
     linear = scenario.model is ScenarioKind.LINEAR
+    spec = linear_spec(1, intercept=True) if linear else exponential_spec()
     if mm is None:
-        mm = MMConfig(n_subsamples=500 if linear else 8)
+        mm = MMConfig()
 
     def mm_fit(sample):
-        cfg = MMConfig(rho_s_tuning=mm.rho_s_tuning, rho_m_tuning=mm.rho_m_tuning,
-                       breakdown_b=mm.breakdown_b, n_subsamples=mm.n_subsamples,
-                       max_iter=mm.max_iter, tol=mm.tol,
-                       seed=int(rng.integers(2 ** 63)))
+        cfg = replace(mm, seed=int(rng.integers(2 ** 63)))
         if linear:
             return fit_mm_linear(sample, intercept=True, cfg=cfg)
-        spec = exponential_spec()
-        true_beta = scenario.params["beta_D" if sample.label is Group.DISEASED
-                                    else "beta_H"]
-        init = true_beta * rng.uniform(0.8, 1.2, size=2)
-        try:
-            return fit_mm_nonlinear(sample, spec, init, cfg)
-        except (ValueError, np.linalg.LinAlgError):
-            init = true_beta * rng.uniform(0.8, 1.2, size=2)
-            return fit_mm_nonlinear(sample, spec, init, cfg)
-
-    def ls_fit(sample):
-        if linear:
-            return fit_least_squares(sample, linear_spec(1, intercept=True))
-        true_beta = scenario.params["beta_D" if sample.label is Group.DISEASED
-                                    else "beta_H"]
-        init = true_beta * rng.uniform(0.8, 1.2, size=2)
-        return fit_least_squares(sample, exponential_spec(), beta_init=init)
+        return fit_mm_nonlinear(sample, spec, cfg)
 
     if variant is Variant.CLASSICAL:
-        fit_d, fit_h = ls_fit(sample_d), ls_fit(sample_h)
+        fit_d = fit_least_squares(sample_d, spec)
+        fit_h = fit_least_squares(sample_h, spec)
         g_d = plain_ecdf(standardized_residuals(sample_d, fit_d))
         g_h = plain_ecdf(standardized_residuals(sample_h, fit_h))
     else:

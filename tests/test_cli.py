@@ -11,6 +11,7 @@ from robustroc import (
     PopulationSample,
     ScenarioKind,
     ScenarioSpec,
+    fit_mm_nonlinear,
     make_synthetic_study,
     write_dataset,
     write_scenario_dataset,
@@ -58,6 +59,24 @@ class TestExitCodes:
         path = tmp_path / "tiny.csv"
         path.write_text("group,y,x1\nD,1.0,0.0\nD,2.0,1.0\nH,1.0,0.0\nH,2.0,1.0\n")
         assert _run(["fit", path, "--out", tmp_path]) == 2
+
+    def test_exponential_too_few_observations(self, tmp_path):
+        # two diseased observations cannot support the two-parameter MM fit
+        path = tmp_path / "tiny.csv"
+        path.write_text("group,y,x1\nD,1.0,0.0\nD,2.0,1.0\n"
+                        "H,1.0,0.0\nH,2.0,0.5\nH,3.0,1.0\n")
+        assert _run(["fit", path, "--model", "exponential", "--out", tmp_path]) == 2
+
+    def test_exponential_constant_covariate(self, tmp_path):
+        x = np.linspace(0, 1, 20)
+        d = PopulationSample(Group.DISEASED, 5 * np.exp(2 * x) + 0.1 * np.sin(9 * x),
+                             np.full(20, 0.5))
+        h = PopulationSample(Group.HEALTHY, 3 * np.exp(x) + 0.1 * np.cos(9 * x), x)
+        path = tmp_path / "flat.csv"
+        write_dataset(path, d, h)
+        for variant in ("robust", "classical"):
+            assert _run(["fit", path, "--model", "exponential", "--variant",
+                         variant, "--out", tmp_path]) == 2
 
     def test_negative_eta(self, tmp_path):
         data = _clean_dataset(tmp_path, n=20)
@@ -109,6 +128,29 @@ class TestCmdFit:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         flagged = set(report["healthy"]["flagged_outliers"])
         assert set(study.healthy_outlier_indices.tolist()) <= flagged
+
+    @pytest.mark.parametrize("n_subsamples", [500, 16])
+    def test_exponential_honours_n_subsamples(self, tmp_path, monkeypatch,
+                                              n_subsamples):
+        from robustroc import cli
+
+        seen = []
+
+        def spy(sample, spec, cfg):
+            seen.append(cfg)
+            return fit_mm_nonlinear(sample, spec, cfg)
+
+        monkeypatch.setattr(cli, "fit_mm_nonlinear", spy)
+        study = make_synthetic_study(seed=9)
+        path = tmp_path / "study.csv"
+        write_dataset(path, study.diseased, study.healthy)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nfamily = exponential\n"
+                       f"[fit]\nn_subsamples = {n_subsamples}\n")
+        assert _run(["fit", path, "--config", ini, "--out", tmp_path,
+                     "--seed", "9"]) == 0
+        assert [cfg.n_subsamples for cfg in seen] == [n_subsamples] * 2
+        assert [cfg.seed for cfg in seen] == [9, 9]
 
     def test_report_fields(self, tmp_path):
         data = _clean_dataset(tmp_path, n=60, seed=2)

@@ -328,8 +328,7 @@ class TestFitMMNonlinear:
         x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x), x)
         with pytest.warns(DegenerateScaleWarning):
-            fit = fit_mm_nonlinear(s, exponential_spec(), np.array([4.0, 1.5]),
-                                   MMConfig(n_subsamples=8))
+            fit = fit_mm_nonlinear(s, exponential_spec(), CFG)
         assert fit.degenerate_scale
         np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=1e-6)
 
@@ -337,8 +336,7 @@ class TestFitMMNonlinear:
         errs = []
         for seed in range(50):
             fit = fit_mm_nonlinear(_exp_sample(seed), exponential_spec(),
-                                   np.array([4.0, 1.5]),
-                                   MMConfig(n_subsamples=8, seed=seed))
+                                   MMConfig(seed=seed))
             errs.append(np.max(np.abs(fit.beta_hat - [5.0, 2.0])))
         assert np.median(errs) < 0.2
 
@@ -346,8 +344,7 @@ class TestFitMMNonlinear:
         mm_err, ls_err = [], []
         for seed in range(50):
             s = _exp_sample(seed, shift=10.0)
-            fit = fit_mm_nonlinear(s, exponential_spec(), np.array([4.0, 1.5]),
-                                   MMConfig(n_subsamples=8, seed=seed))
+            fit = fit_mm_nonlinear(s, exponential_spec(), MMConfig(seed=seed))
             ls = fit_least_squares(s, exponential_spec(),
                                    beta_init=np.array([4.0, 1.5]))
             mm_err.append(np.max(np.abs(fit.beta_hat - [5.0, 2.0])))
@@ -362,7 +359,130 @@ class TestFitMMNonlinear:
                               eval=lambda x, b: b[0] * x[:, 0])
         s = PopulationSample(Group.DISEASED, [1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="gradient"):
-            fit_mm_nonlinear(s, spec, np.array([1.0]), CFG)
+            fit_mm_nonlinear(s, spec, CFG)
+
+    def test_requires_exponential_family(self):
+        s = PopulationSample(Group.DISEASED, [1.0, 2.0, 4.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="exponential family"):
+            fit_mm_nonlinear(s, linear_spec(1, intercept=True), CFG)
+
+    def test_too_few_observations(self):
+        s = PopulationSample(Group.DISEASED, [1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="observations"):
+            fit_mm_nonlinear(s, exponential_spec(), CFG)
+
+    def test_constant_covariate(self):
+        s = PopulationSample(Group.DISEASED, [1.0, 2.0, 3.0, 4.0], [0.5] * 4)
+        with pytest.raises(ValueError, match="constant covariate"):
+            fit_mm_nonlinear(s, exponential_spec(), CFG)
+
+    def test_no_finite_pair(self):
+        # the one pair of equal sign shares its x; the others change sign
+        s = PopulationSample(Group.DISEASED, [1.0, 2.0, -1.0], [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="no elemental pair"):
+            fit_mm_nonlinear(s, exponential_spec(), CFG)
+
+    def test_overflowing_pairs_fit_without_warning(self):
+        # twins 1e-9 apart in x: the curve through a twin pair climbs by
+        # y_i / y_j over 1e-9, so exp(b2 * x) overflows elsewhere
+        rng = np.random.default_rng(4)
+        x = np.repeat(rng.uniform(0, 1, 50), 2) + np.tile([0.0, 1e-9], 50)
+        y = 5.0 * np.exp(2.0 * x) + rng.standard_normal(100)
+        with np.errstate(all="ignore"):
+            b2 = np.log(y[::2] / y[1::2]) / (x[::2] - x[1::2])
+            assert np.sum(np.isinf(np.exp(b2 * np.max(x)))) > 10
+        self._fit_without_warning(x, y, [5.0, 2.0])
+
+    def test_residual_too_large_to_bracket_fits_without_warning(self):
+        # the curve through (0, 1) and (0.001, e^0.7046) has b2 = 704.6 and a
+        # finite residual of about -1e306 at x = 1, which 1e3 * max|r| overflows
+        x = np.append(np.linspace(0.0, 1.0, 20), 0.001)
+        y = np.exp(x) + 0.01 * np.sin(7.0 * x)
+        y[0], y[-1] = 1.0, np.exp(0.7046)
+        betas = self._fit_without_warning(x, y, [1.0, 1.0])
+        assert np.all(np.abs(betas[:, 1]) < 700)
+
+    @staticmethod
+    def _fit_without_warning(x, y, truth):
+        sample = PopulationSample(Group.DISEASED, y, x)
+        betas, _, _ = robust._exponential_pairs(x, y, 500, np.random.default_rng(4))
+        assert len(betas) < 500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mm_nonlinear(sample, exponential_spec(), MMConfig(seed=4))
+        assert np.max(np.abs(fit.beta_hat - truth)) < 0.5
+        return betas
+
+
+class TestElementalPairs:
+    """The exponential elemental candidates and their screened S-search."""
+
+    @staticmethod
+    def _samples():
+        for seed in range(6):
+            yield _exp_sample(seed, n=100)
+            yield _exp_sample(seed, n=100, shift=10.0)
+            scenario = ScenarioSpec(ScenarioKind.NONLINEAR, 100, 100, seed=seed)
+            scheme = ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT,
+                                         delta=0.05, shift_s=10.0)
+            yield from generate(scenario, scheme, np.random.default_rng(seed))
+        # marker values of both signs: pairs across the sign have no fit
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 1, 60)
+        yield PopulationSample(Group.HEALTHY, 0.5 * np.exp(x)
+                               + rng.standard_normal(60), x)
+
+    def test_kept_candidates_interpolate_their_pair(self):
+        for k, sample in enumerate(self._samples()):
+            x, y = sample.x[:, 0], sample.y
+            betas, R, pairs = robust._exponential_pairs(
+                x, y, 500, np.random.default_rng(k))
+            assert 0 < len(betas) == len(R) == len(pairs) <= 500
+            assert np.all(pairs[:, 0] != pairs[:, 1])
+            assert np.all(np.isfinite(betas)) and np.all(np.isfinite(R))
+            rows = np.arange(len(R))
+            for col in (0, 1):
+                at = pairs[:, col]
+                assert np.all(np.abs(R[rows, at]) <= 1e-9 * np.abs(y[at]))
+            # the residuals are those of the betas, as the refinement sees them
+            spec = exponential_spec()
+            for b, r in zip(betas[:20], R[:20]):
+                assert np.array_equal(r, y - spec.predict(sample.x, b))
+
+    def test_screen_matches_exhaustive_argmin(self):
+        for k, sample in enumerate(self._samples()):
+            _, R, _ = robust._exponential_pairs(
+                sample.x[:, 0], sample.y, 500, np.random.default_rng(k))
+            got = robust._smallest_scale_row(R, CFG.rho_s_tuning,
+                                             CFG.breakdown_b)
+            assert got == TestScreenedSSearch._exhaustive_row(R)
+
+    def test_refinement_starts_from_screened_winner(self, monkeypatch):
+        sample = _exp_sample(3, n=100, shift=10.0)
+        cfg = MMConfig(seed=3)
+        betas, R, _ = robust._exponential_pairs(
+            sample.x[:, 0], sample.y, cfg.n_subsamples, np.random.default_rng(3))
+        best, _ = TestScreenedSSearch._exhaustive_row(R)
+        starts = []
+        descend = robust._gauss_newton_scale
+
+        def spy(y, x, spec, beta0, cfg_):
+            starts.append(beta0)
+            return descend(y, x, spec, beta0, cfg_)
+
+        monkeypatch.setattr(robust, "_gauss_newton_scale", spy)
+        fit_mm_nonlinear(sample, exponential_spec(), cfg)
+        assert len(starts) == 1 and np.array_equal(starts[0], betas[best])
+
+    def test_draw_covers_pairs_in_both_orders(self):
+        # i is uniform and j uniform over the other n - 1 indices
+        _, _, pairs = robust._exponential_pairs(
+            np.arange(4.0), np.exp(np.arange(4.0)), 4000, np.random.default_rng(0))
+        counts = np.zeros((4, 4), dtype=int)
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+        assert np.all(np.diag(counts) == 0)
+        off = counts[~np.eye(4, dtype=bool)]
+        assert off.min() > 250 and off.max() < 420
 
 
 class TestFitLeastSquares:
@@ -377,6 +497,23 @@ class TestFitLeastSquares:
         s = PopulationSample(Group.HEALTHY, [0.0, 1.0], [0.0, 1.0])
         fit = fit_least_squares(s, linear_spec(1, intercept=True))
         np.testing.assert_allclose(fit.beta_hat, [0.0, 1.0], atol=1e-12)
+
+    def test_exponential_starts_log_linear(self):
+        # without beta_init, the start is the least-squares line of log y on x
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, 80)
+        s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x)
+                             + 0.1 * rng.standard_normal(80), x)
+        fit = fit_least_squares(s, exponential_spec())
+        given = fit_least_squares(s, exponential_spec(),
+                                  beta_init=robust._initial_beta_exponential(s))
+        assert np.array_equal(fit.beta_hat, given.beta_hat)
+        np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=0.1)
+
+    def test_exponential_constant_covariate(self):
+        s = PopulationSample(Group.DISEASED, [1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="distinct covariate"):
+            fit_least_squares(s, exponential_spec())
 
     def test_exact_exponential(self):
         x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -553,20 +690,18 @@ class TestFastMScale:
         for seed in range(3):
             scenario = ScenarioSpec(ScenarioKind.NONLINEAR, 100, 100, seed=seed)
             for sample in generate(scenario, scheme, np.random.default_rng(seed)):
-                beta = scenario.params["beta_D" if sample.label is Group.DISEASED
-                                       else "beta_H"]
-                cfg = MMConfig(n_subsamples=8, seed=seed)
+                cfg = MMConfig(seed=seed)
                 fast_calls = []
                 with monkeypatch.context() as m:
                     # counts the calls the fast code makes through the module name
                     m.setattr(robust, "m_scale",
                               lambda r, c: fast_calls.append(1) or m_scale(r, c))
-                    fast = fit_mm_nonlinear(sample, spec, 0.9 * beta, cfg)
+                    fast = fit_mm_nonlinear(sample, spec, cfg)
                 with monkeypatch.context() as m:
                     ref_calls = self._reference_patches(m)
                     m.setattr(robust, "_gauss_newton_scale",
                               _reference_gauss_newton_scale)
-                    reference = fit_mm_nonlinear(sample, spec, 0.9 * beta, cfg)
+                    reference = fit_mm_nonlinear(sample, spec, cfg)
                 self._assert_identical(fast, reference)
                 assert len(fast_calls) == len(ref_calls) > 0
 

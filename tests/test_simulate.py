@@ -190,6 +190,19 @@ class TestRunCampaign:
         assert auc.shape == (2, 41)
         assert np.all((auc >= 0) & (auc <= 1))
 
+    @pytest.mark.parametrize("scenario, scheme", [
+        (LIN, ContaminationScheme(ContaminationKind.SHIFT_BOTH, 0.05)),
+        (NONLIN, ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, 0.05, 10.0)),
+    ])
+    def test_classical_variant_leaves_robust_unchanged(self, scenario, scheme):
+        # the classical fits draw nothing from the replication stream
+        alone = run_campaign(scenario, scheme, [Variant.ROBUST], n_rep=2)
+        both = run_campaign(scenario, scheme, [Variant.CLASSICAL, Variant.ROBUST],
+                            n_rep=2)
+        for attr in ("mse", "ks"):
+            assert np.array_equal(getattr(alone.variants[Variant.ROBUST], attr),
+                                  getattr(both.variants[Variant.ROBUST], attr))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="n_rep"):
             run_campaign(LIN, ContaminationScheme(), [Variant.ROBUST], 0)
