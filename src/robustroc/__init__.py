@@ -37,7 +37,6 @@ from .weighting import (
     WeightedEcdf,
     WeightFunction,
     WeightKind,
-    abs_ecdf,
     adaptive_cutoff,
     atypicality_dn,
     build_weighted_ecdf,
@@ -47,7 +46,6 @@ from .weighting import (
     smooth_polynomial,
     standard_normal_reference,
     weight_function,
-    weighted_quantile,
 )
 from .roc import (
     AucCurve,
@@ -66,7 +64,6 @@ from .simulate import (
     MetricsReport,
     ScenarioSpec,
     VariantMetrics,
-    fit_variant_model,
     generate,
     ks_metric,
     mse_metric,
@@ -79,7 +76,6 @@ from .datasets import (
     make_synthetic_study,
     read_dataset,
     write_dataset,
-    write_scenario_dataset,
 )
 from .config import ConfigError, RunConfig, load_config
 
@@ -92,14 +88,13 @@ __all__ = [
     "MetricsReport", "PopulationSample", "ReferenceDistribution", "RegressionSpec",
     "ResidualSet", "RobustFit", "RocSurface", "RunConfig", "ScenarioKind",
     "ScenarioSpec", "SyntheticStudy", "Variant", "VariantMetrics", "WeightFunction",
-    "WeightKind", "WeightedEcdf", "abs_ecdf", "adaptive_cutoff", "atypicality_dn",
+    "WeightKind", "WeightedEcdf", "adaptive_cutoff", "atypicality_dn",
     "auc_curve", "bisquare_rho", "bisquare_weight", "build_weighted_ecdf",
     "default_grids", "design_matrix", "exponential_spec", "fit_least_squares",
-    "fit_mm_linear", "fit_mm_nonlinear", "fit_variant_model", "generate",
+    "fit_mm_linear", "fit_mm_nonlinear", "generate",
     "hard_rejection", "ks_metric", "linear_spec", "load_config", "m_scale",
     "make_synthetic_study", "mse_metric", "normal_reference", "plain_ecdf",
     "read_dataset", "roc_at", "roc_surface", "run_campaign", "smooth_polynomial",
     "standard_normal_reference", "standardized_residuals", "transform_marker",
-    "true_surface", "weight_function", "weighted_quantile", "write_dataset",
-    "write_scenario_dataset",
+    "true_surface", "weight_function", "write_dataset",
 ]

@@ -22,11 +22,11 @@ from .models import (
     EvalGrid,
     Family,
     PopulationSample,
+    RegressionSpec,
     exponential_spec,
     linear_spec,
-    standardized_residuals,
 )
-from .robust import MMConfig, fit_least_squares, fit_mm_linear, fit_mm_nonlinear
+from .robust import MMConfig
 from .roc import (
     ConditionalRocModel,
     MarkerTransform,
@@ -36,13 +36,8 @@ from .roc import (
     roc_surface,
     transform_marker,
 )
-from .simulate import run_campaign
-from .weighting import (
-    build_weighted_ecdf,
-    plain_ecdf,
-    standard_normal_reference,
-    weight_function,
-)
+from .simulate import fit_population, residual_distribution, run_campaign
+from .weighting import weight_function
 
 FMT = "%.17g"
 
@@ -60,24 +55,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fit_population(sample: PopulationSample, cfg: RunConfig):
+def _regression_spec(cfg: RunConfig, p: int) -> RegressionSpec:
     if cfg.family is Family.LINEAR:
-        spec = linear_spec(sample.p, intercept=True)
-    else:
-        spec = exponential_spec()
-    if cfg.variant is Variant.CLASSICAL:
-        return fit_least_squares(sample, spec)
-    mm = replace(cfg.mm, seed=cfg.seed)
-    if cfg.family is Family.LINEAR:
-        return fit_mm_linear(sample, intercept=True, cfg=mm)
-    return fit_mm_nonlinear(sample, spec, mm)
-
-
-def _residual_ecdf(residuals, cfg: RunConfig):
-    if cfg.variant is Variant.ROBUST:
-        return build_weighted_ecdf(residuals, weight_function(cfg.weight_kind),
-                                   standard_normal_reference(), cfg.eta)
-    return plain_ecdf(residuals)
+        return linear_spec(p, intercept=True)
+    return exponential_spec()
 
 
 def _load_samples(path, cfg: RunConfig):
@@ -92,23 +73,28 @@ def _load_samples(path, cfg: RunConfig):
     return diseased, healthy
 
 
-def _population_report(sample: PopulationSample, fit, ecdf) -> dict:
-    weights = ecdf.weights
-    flagged = np.flatnonzero(weights == 0.0)
-    return {
+def _population_report(sample: PopulationSample, fit, ecdf=None) -> dict:
+    """The fit of one population and, when an ECDF is given (there is none for
+    a degenerate scale), its residuals, weights and cut-off."""
+    report = {
         "n": sample.n,
         "beta_hat": list(fit.beta_hat),
         "sigma_hat": fit.sigma_hat,
         "method": fit.method.value,
         "converged": fit.converged,
         "degenerate_scale": fit.degenerate_scale,
-        "residuals": list(_original_order(ecdf)),
-        "weights": list(weights),
-        "d_n": ecdf.d_n,
-        "t_bar_n": _finite_or_none(ecdf.t_bar_n),
-        "t_n": _finite_or_none(ecdf.t_n),
-        "flagged_outliers": [int(i) for i in flagged],
     }
+    if ecdf is not None:
+        weights = ecdf.weights
+        report.update({
+            "residuals": list(_original_order(ecdf)),
+            "weights": list(weights),
+            "d_n": ecdf.d_n,
+            "t_bar_n": _finite_or_none(ecdf.t_bar_n),
+            "t_n": _finite_or_none(ecdf.t_n),
+            "flagged_outliers": [int(i) for i in np.flatnonzero(weights == 0.0)],
+        })
+    return report
 
 
 def _original_order(ecdf) -> np.ndarray:
@@ -133,20 +119,13 @@ def cmd_fit(dataset: str, cfg: RunConfig, out_dir: Path) -> Path:
     diseased, healthy = _load_samples(dataset, cfg)
     report = {"variant": cfg.variant.value, "family": cfg.family.value,
               "eta": cfg.eta, "seed": cfg.seed}
+    spec = _regression_spec(cfg, diseased.p)
+    mm = replace(cfg.mm, seed=cfg.seed)
+    weights = weight_function(cfg.weight_kind)
     for name, sample in (("diseased", diseased), ("healthy", healthy)):
-        fit = _fit_population(sample, cfg)
-        if fit.degenerate_scale:
-            report[name] = {
-                "n": sample.n,
-                "beta_hat": list(fit.beta_hat),
-                "sigma_hat": fit.sigma_hat,
-                "method": fit.method.value,
-                "converged": fit.converged,
-                "degenerate_scale": True,
-            }
-            continue
-        res = standardized_residuals(sample, fit)
-        ecdf = _residual_ecdf(res, cfg)
+        fit = fit_population(sample, spec, cfg.variant, mm)
+        ecdf = None if fit.degenerate_scale else residual_distribution(
+            sample, fit, cfg.variant, weights, cfg.eta)
         report[name] = _population_report(sample, fit, ecdf)
     out = out_dir / "fit_report.json"
     _write_json(out, report)
@@ -185,10 +164,13 @@ def read_surface_csv(path) -> RocSurface:
 def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Fit, build the plug-in ROC surface and AUC curve, and export them."""
     diseased, healthy = _load_samples(dataset, cfg)
-    fit_d = _fit_population(diseased, cfg)
-    fit_h = _fit_population(healthy, cfg)
-    g_d = _residual_ecdf(standardized_residuals(diseased, fit_d), cfg)
-    g_h = _residual_ecdf(standardized_residuals(healthy, fit_h), cfg)
+    spec = _regression_spec(cfg, diseased.p)
+    mm = replace(cfg.mm, seed=cfg.seed)
+    weights = weight_function(cfg.weight_kind)
+    fit_d = fit_population(diseased, spec, cfg.variant, mm)
+    fit_h = fit_population(healthy, spec, cfg.variant, mm)
+    g_d = residual_distribution(diseased, fit_d, cfg.variant, weights, cfg.eta)
+    g_h = residual_distribution(healthy, fit_h, cfg.variant, weights, cfg.eta)
     model = ConditionalRocModel(fit_D=fit_d, fit_H=fit_h, gD_hat=g_d, gH_hat=g_h,
                                 variant=cfg.variant)
     grid = _eval_grid(cfg, diseased, healthy)
@@ -332,8 +314,6 @@ def _resolve_config(args) -> RunConfig:
     if args.model is not None:
         overrides["family"] = Family(args.model)
     if args.eta is not None:
-        if args.eta <= 0:
-            raise UsageError("--eta must be positive")
         overrides["eta"] = args.eta
     if args.weights is not None:
         from .weighting import WeightKind

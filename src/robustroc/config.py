@@ -49,6 +49,11 @@ class RunConfig:
     diseased_line: bool = False
     keep_auc: bool = False
 
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise ConfigError(f"eta ([weights] eta, --eta) must be positive, "
+                              f"found {self.eta!r}")
+
     def scenario_spec(self) -> ScenarioSpec:
         return ScenarioSpec(model=self.scenario, n_D=self.n_D, n_H=self.n_H,
                             seed=self.seed)
@@ -87,14 +92,6 @@ def _parse_num(cast, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r}") from None
 
 
-def _parse_weight_kind(raw: str, where: str) -> WeightKind:
-    kind = _parse_enum(WeightKind, raw, where)
-    if kind is WeightKind.CUSTOM:
-        raise ConfigError(f"{where}: a custom weight function is built in code, "
-                          "not named in a config; use hard or smooth")
-    return kind
-
-
 # section -> key -> (RunConfig attribute, parser)
 _SCHEMA = {
     "model": {
@@ -112,7 +109,7 @@ _SCHEMA = {
     },
     "weights": {
         "eta": ("eta", lambda r, w: _parse_num(float, r, w)),
-        "kind": ("weight_kind", _parse_weight_kind),
+        "kind": ("weight_kind", lambda r, w: _parse_enum(WeightKind, r, w)),
     },
     "grids": {
         "p_min": ("p_min", lambda r, w: _parse_num(float, r, w)),
@@ -165,5 +162,10 @@ def load_config(path: PathLike) -> RunConfig:
 
     cfg = RunConfig(**values)
     if mm_overrides:
-        cfg = replace(cfg, mm=replace(cfg.mm, **mm_overrides))
+        try:
+            mm = replace(cfg.mm, **mm_overrides)
+        except ValueError as exc:
+            # MMConfig names the offending field, which is also its [fit] key
+            raise ConfigError(f"[fit] {exc}") from None
+        cfg = replace(cfg, mm=mm)
     return cfg

@@ -4,12 +4,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .models import Group, PopulationSample
-from .simulate import ContaminationScheme, ScenarioSpec, generate
 
 PathLike = Union[str, Path]
 
@@ -83,16 +82,6 @@ def read_dataset(path: PathLike) -> tuple[PopulationSample, PopulationSample]:
         ys, xs = rows[group]
         out.append(PopulationSample(group, np.asarray(ys), np.asarray(xs)))
     return out[0], out[1]
-
-
-def write_scenario_dataset(path: PathLike, scenario: ScenarioSpec,
-                           contamination: Optional[ContaminationScheme] = None
-                           ) -> None:
-    """Draw one simulated sample pair and persist it as a dataset file."""
-    from .simulate import CLEAN
-
-    d, h = generate(scenario, contamination if contamination is not None else CLEAN)
-    write_dataset(path, d, h)
 
 
 @dataclass(frozen=True)

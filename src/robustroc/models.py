@@ -16,7 +16,6 @@ class Group(Enum):
 class Family(Enum):
     LINEAR = "linear"
     EXPONENTIAL = "exponential"
-    CUSTOM = "custom"
 
 
 class FitMethod(Enum):
@@ -174,7 +173,6 @@ class ResidualSet:
     """Standardized residuals r_i = (y_i - mu_hat(x_i)) / sigma_hat."""
 
     r: np.ndarray
-    source_fit: Optional[RobustFit] = None
 
     def __post_init__(self):
         r = _freeze(np.atleast_1d(self.r))
@@ -194,7 +192,7 @@ def standardized_residuals(sample: PopulationSample, fit: RobustFit) -> Residual
     if fit.degenerate_scale or fit.sigma_hat <= 0:
         raise ValueError("cannot standardize residuals with a degenerate scale")
     mu = fit.predict(sample.x)
-    return ResidualSet(r=(sample.y - mu) / fit.sigma_hat, source_fit=fit)
+    return ResidualSet(r=(sample.y - mu) / fit.sigma_hat)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ from scipy.stats import norm
 
 from .models import (
     EvalGrid,
+    Family,
     Group,
     PopulationSample,
+    RegressionSpec,
+    RobustFit,
     ScenarioKind,
     default_grids,
     exponential_spec,
@@ -30,12 +33,17 @@ from .robust import (
 )
 from .roc import ConditionalRocModel, RocSurface, Variant, auc_curve, roc_surface
 from .weighting import (
+    WeightedEcdf,
+    WeightFunction,
     build_weighted_ecdf,
     hard_rejection,
     plain_ecdf,
     smooth_polynomial,
     standard_normal_reference,
 )
+
+# Reference error distribution that calibrates the adaptive cut-off.
+_REFERENCE = standard_normal_reference()
 
 # True parameters of the simulation scenarios.
 LINEAR_TRUE = {
@@ -198,49 +206,25 @@ def ks_metric(est: RocSurface, truth: RocSurface) -> float:
     return float(np.max(np.abs(est.values - truth.values)))
 
 
-def fit_variant_model(variant: Variant, sample_d: PopulationSample,
-                      sample_h: PopulationSample, scenario: ScenarioSpec,
-                      rng: np.random.Generator, eta: float = 2.5,
-                      mm: Optional[MMConfig] = None,
-                      robust_fits: Optional[tuple] = None) -> ConditionalRocModel:
-    """Fit one estimator variant on a generated sample pair.
-
-    robust_fits lets the campaign share the MM fits between the robust and
-    hybrid variants within a replication.
-    """
-    ref = standard_normal_reference()
-    linear = scenario.model is ScenarioKind.LINEAR
-    spec = linear_spec(1, intercept=True) if linear else exponential_spec()
-    if mm is None:
-        mm = MMConfig()
-
-    def mm_fit(sample):
-        cfg = replace(mm, seed=int(rng.integers(2 ** 63)))
-        if linear:
-            return fit_mm_linear(sample, intercept=True, cfg=cfg)
-        return fit_mm_nonlinear(sample, spec, cfg)
-
+def fit_population(sample: PopulationSample, spec: RegressionSpec, variant: Variant,
+                   mm: MMConfig) -> RobustFit:
+    """Location-scale fit of one population: least squares for the classical
+    variant, otherwise the MM-estimator of spec's family, seeded by mm.seed."""
     if variant is Variant.CLASSICAL:
-        fit_d = fit_least_squares(sample_d, spec)
-        fit_h = fit_least_squares(sample_h, spec)
-        g_d = plain_ecdf(standardized_residuals(sample_d, fit_d))
-        g_h = plain_ecdf(standardized_residuals(sample_h, fit_h))
-    else:
-        if robust_fits is None:
-            fit_d, fit_h = mm_fit(sample_d), mm_fit(sample_h)
-        else:
-            fit_d, fit_h = robust_fits
-        r_d = standardized_residuals(sample_d, fit_d)
-        r_h = standardized_residuals(sample_h, fit_h)
-        if variant is Variant.ROBUST:
-            w = hard_rejection() if linear else smooth_polynomial()
-            g_d = build_weighted_ecdf(r_d, w, ref, eta)
-            g_h = build_weighted_ecdf(r_h, w, ref, eta)
-        else:  # hybrid: robust fits, classical ECDFs
-            g_d = plain_ecdf(r_d)
-            g_h = plain_ecdf(r_h)
-    return ConditionalRocModel(fit_D=fit_d, fit_H=fit_h, gD_hat=g_d, gH_hat=g_h,
-                               variant=variant)
+        return fit_least_squares(sample, spec)
+    if spec.family is Family.LINEAR:
+        return fit_mm_linear(sample, spec.intercept, mm)
+    return fit_mm_nonlinear(sample, spec, mm)
+
+
+def residual_distribution(sample: PopulationSample, fit: RobustFit, variant: Variant,
+                          weights: WeightFunction, eta: float) -> WeightedEcdf:
+    """Distribution of the standardized residuals: adaptively weighted against
+    the standard normal for the robust variant, plain for classical and hybrid."""
+    residuals = standardized_residuals(sample, fit)
+    if variant is Variant.ROBUST:
+        return build_weighted_ecdf(residuals, weights, _REFERENCE, eta)
+    return plain_ecdf(residuals)
 
 
 @dataclass
@@ -287,25 +271,40 @@ def run_campaign(scenario: ScenarioSpec, contamination: ContaminationScheme,
                                  if keep_auc else None)
                for v in variants}
 
+    linear = scenario.model is ScenarioKind.LINEAR
+    spec = linear_spec(1, intercept=True) if linear else exponential_spec()
+    weights = hard_rejection() if linear else smooth_polynomial()
+    if mm is None:
+        mm = MMConfig()
+
     for rep in range(n_rep):
         rng = np.random.default_rng([scenario.seed, rep])
-        sample_d, sample_h = generate(scenario, contamination, rng)
-        robust_fits = None
+        samples = generate(scenario, contamination, rng)
+        mm_fits = None
         for variant in variants:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateScaleWarning)
-                    model = fit_variant_model(variant, sample_d, sample_h, scenario,
-                                              rng, eta=eta, mm=mm,
-                                              robust_fits=robust_fits
-                                              if variant is Variant.HYBRID else None)
+                    if variant is Variant.CLASSICAL:
+                        fits = [fit_population(s, spec, variant, mm) for s in samples]
+                    else:
+                        if mm_fits is None:
+                            # one seed per population, D then H, drawn once so
+                            # that robust and hybrid share these fits in any order
+                            mm_fits = [fit_population(
+                                s, spec, variant,
+                                replace(mm, seed=int(rng.integers(2 ** 63))))
+                                for s in samples]
+                        fits = mm_fits
+                    g_d, g_h = [residual_distribution(s, fit, variant, weights, eta)
+                                for s, fit in zip(samples, fits)]
             except Exception as exc:
                 raise RuntimeError(
                     f"replication {rep} (seed [{scenario.seed}, {rep}]) failed for "
                     f"variant {variant.value}: {exc}"
                 ) from exc
-            if variant is Variant.ROBUST:
-                robust_fits = (model.fit_D, model.fit_H)
+            model = ConditionalRocModel(fit_D=fits[0], fit_H=fits[1], gD_hat=g_d,
+                                        gH_hat=g_h, variant=variant)
             surf = roc_surface(model, grid)
             res = results[variant]
             res.mse[rep] = mse_metric(surf, truth)

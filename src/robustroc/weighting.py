@@ -32,7 +32,6 @@ def _as_array(residuals: Residuals) -> np.ndarray:
 class WeightKind(Enum):
     HARD_REJECTION = "hard"
     SMOOTH_POLYNOMIAL = "smooth"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,7 @@ def smooth_polynomial() -> WeightFunction:
 def weight_function(kind: WeightKind) -> WeightFunction:
     if kind is WeightKind.HARD_REJECTION:
         return hard_rejection()
-    if kind is WeightKind.SMOOTH_POLYNOMIAL:
-        return smooth_polynomial()
-    raise ValueError("custom weight functions must be constructed directly")
+    return smooth_polynomial()
 
 
 @dataclass(frozen=True)
@@ -88,17 +85,6 @@ def normal_reference(scale: float = 1.0) -> ReferenceDistribution:
 
 def standard_normal_reference() -> ReferenceDistribution:
     return normal_reference(1.0)
-
-
-def abs_ecdf(residuals: Residuals) -> Callable[[np.ndarray], np.ndarray]:
-    """Step function t -> (1/n) * #{|r_i| <= t}."""
-    a = np.sort(np.abs(_as_array(residuals)))
-    n = a.size
-
-    def fn(t):
-        return np.searchsorted(a, np.asarray(t, dtype=float), side="right") / n
-
-    return fn
 
 
 def atypicality_dn(residuals: Residuals, ref: ReferenceDistribution) -> float:
@@ -194,8 +180,3 @@ def plain_ecdf(residuals: Residuals) -> WeightedEcdf:
         r_sorted=r[order], order=order, weights_sorted=np.ones(r.size),
         t_n=np.inf, d_n=0.0, t_bar_n=np.inf, eta=np.inf,
     )
-
-
-def weighted_quantile(ecdf: WeightedEcdf, q: float) -> float:
-    """Generalized inverse: the smallest residual t with Ghat(t) >= q."""
-    return float(ecdf.quantile(q))

@@ -12,17 +12,16 @@ from robustroc import (
     ScenarioKind,
     ScenarioSpec,
     fit_mm_nonlinear,
+    generate,
     make_synthetic_study,
     write_dataset,
-    write_scenario_dataset,
 )
 from robustroc.cli import main, read_surface_csv
 
 
 def _clean_dataset(tmp_path, n=200, seed=0, name="data.csv"):
     path = tmp_path / name
-    write_scenario_dataset(path, ScenarioSpec(ScenarioKind.LINEAR, n, n,
-                                              seed=seed))
+    write_dataset(path, *generate(ScenarioSpec(ScenarioKind.LINEAR, n, n, seed=seed)))
     return path
 
 
@@ -78,9 +77,21 @@ class TestExitCodes:
             assert _run(["fit", path, "--model", "exponential", "--variant",
                          variant, "--out", tmp_path]) == 2
 
-    def test_negative_eta(self, tmp_path):
+    def test_negative_eta(self, tmp_path, capsys):
+        # the flag and the INI key are one setting, checked in one place
         data = _clean_dataset(tmp_path, n=20)
         assert _run(["fit", data, "--eta", "-1.0", "--out", tmp_path]) == 1
+        ini = tmp_path / "run.ini"
+        ini.write_text("[weights]\neta = -1\n")
+        assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 1
+        assert "robustroc: error: eta" in capsys.readouterr().err
+
+    def test_invalid_fit_value_is_a_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[fit]\ntol = 0\n")
+        data = _clean_dataset(tmp_path, n=20)
+        assert _run(["roc", data, "--config", ini, "--out", tmp_path]) == 1
+        assert "robustroc: error: [fit] tol" in capsys.readouterr().err
 
     def test_success(self, tmp_path):
         data = _clean_dataset(tmp_path, n=50)
@@ -99,6 +110,9 @@ class TestCmdFit:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert report["diseased"]["degenerate_scale"] is True
         assert report["diseased"]["sigma_hat"] == 0.0
+        # no residual distribution is built on a zero scale: only the fit is reported
+        assert set(report["diseased"]) == {"n", "beta_hat", "sigma_hat", "method",
+                                           "converged", "degenerate_scale"}
 
     def test_clean_sample_flags_few_points(self, tmp_path):
         # under normality with eta = 2.5 only the far tail (roughly the 1-2%
@@ -132,7 +146,7 @@ class TestCmdFit:
     @pytest.mark.parametrize("n_subsamples", [500, 16])
     def test_exponential_honours_n_subsamples(self, tmp_path, monkeypatch,
                                               n_subsamples):
-        from robustroc import cli
+        from robustroc import simulate
 
         seen = []
 
@@ -140,7 +154,8 @@ class TestCmdFit:
             seen.append(cfg)
             return fit_mm_nonlinear(sample, spec, cfg)
 
-        monkeypatch.setattr(cli, "fit_mm_nonlinear", spy)
+        # the CLI fits through simulate.fit_population
+        monkeypatch.setattr(simulate, "fit_mm_nonlinear", spy)
         study = make_synthetic_study(seed=9)
         path = tmp_path / "study.csv"
         write_dataset(path, study.diseased, study.healthy)

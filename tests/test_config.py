@@ -83,6 +83,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[weights\] kind"):
             load_config(_write(tmp_path, "[weights]\nkind = custom\n"))
 
+    @pytest.mark.parametrize("key, raw", [
+        ("tol", "0"), ("tol", "-1e-8"), ("n_subsamples", "0"),
+        ("breakdown_b", "0"), ("breakdown_b", "0.7"),
+    ])
+    def test_invalid_fit_value_names_its_key(self, tmp_path, key, raw):
+        with pytest.raises(ConfigError, match=rf"\[fit\] {key}"):
+            load_config(_write(tmp_path, f"[fit]\n{key} = {raw}\n"))
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan"])
+    def test_eta_must_be_positive(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match="eta"):
+            load_config(_write(tmp_path, f"[weights]\neta = {raw}\n"))
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(_write(tmp_path, "[weights]\neta = two\n"))

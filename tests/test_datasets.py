@@ -8,11 +8,11 @@ from robustroc import (
     PopulationSample,
     ScenarioKind,
     ScenarioSpec,
+    generate,
     make_synthetic_study,
     read_dataset,
     transform_marker,
     write_dataset,
-    write_scenario_dataset,
 )
 
 
@@ -38,8 +38,7 @@ class TestRoundTrip:
 
     def test_scenario_dataset(self, tmp_path):
         path = tmp_path / "sim.csv"
-        write_scenario_dataset(path, ScenarioSpec(ScenarioKind.LINEAR, 20, 30,
-                                                  seed=2))
+        write_dataset(path, *generate(ScenarioSpec(ScenarioKind.LINEAR, 20, 30, seed=2)))
         d, h = read_dataset(path)
         assert d.n == 20 and h.n == 30
 

@@ -355,7 +355,7 @@ class TestFitMMNonlinear:
     def test_requires_gradient(self):
         from robustroc import Family, RegressionSpec
 
-        spec = RegressionSpec(family=Family.CUSTOM, coef_dim=1,
+        spec = RegressionSpec(family=Family.EXPONENTIAL, coef_dim=1,
                               eval=lambda x, b: b[0] * x[:, 0])
         s = PopulationSample(Group.DISEASED, [1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="gradient"):

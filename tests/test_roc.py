@@ -27,6 +27,7 @@ from robustroc import (
     standardized_residuals,
     transform_marker,
 )
+from robustroc.simulate import fit_population, residual_distribution
 
 
 def _fit(beta, sigma):
@@ -164,6 +165,19 @@ class TestTransformMarker:
         assert np.max(np.abs(vals - p)) < 0.01
 
 
+def _linear_variant_model(variant, d, h, rng):
+    """The campaign's linear estimator of one variant: MM seeds drawn from rng,
+    D then H, and hard-rejection weights with eta = 2.5."""
+    spec = linear_spec(1, intercept=True)
+    samples = (d, h)
+    fits = [fit_population(s, spec, variant, MMConfig(seed=int(rng.integers(2 ** 63))))
+            for s in samples]
+    g_d, g_h = [residual_distribution(s, fit, variant, hard_rejection(), 2.5)
+                for s, fit in zip(samples, fits)]
+    return ConditionalRocModel(fit_D=fits[0], fit_H=fits[1], gD_hat=g_d, gH_hat=g_h,
+                               variant=variant)
+
+
 class TestVariantSeparation:
     def test_robust_beats_classical_under_contamination(self):
         # one contaminated sample per seed; median KS comparison
@@ -171,7 +185,6 @@ class TestVariantSeparation:
             ContaminationKind,
             ContaminationScheme,
             ScenarioSpec,
-            fit_variant_model,
             generate,
             ks_metric,
             true_surface,
@@ -185,15 +198,15 @@ class TestVariantSeparation:
         for rep in range(20):
             rng = np.random.default_rng([99, rep])
             d, h = generate(scenario, scheme, rng)
-            rob = fit_variant_model(Variant.ROBUST, d, h, scenario, rng)
-            cls = fit_variant_model(Variant.CLASSICAL, d, h, scenario, rng)
+            rob = _linear_variant_model(Variant.ROBUST, d, h, rng)
+            cls = _linear_variant_model(Variant.CLASSICAL, d, h, rng)
             rob_ks.append(ks_metric(roc_surface(rob, grid), truth))
             cls_ks.append(ks_metric(roc_surface(cls, grid), truth))
         assert np.median(rob_ks) < np.median(cls_ks)
 
     def test_consistency_with_sample_size(self):
         # sup_p error at x = 0 shrinks from n = 100 to n = 1000 on clean data
-        from robustroc import ScenarioSpec, fit_variant_model, generate
+        from robustroc import ScenarioSpec, generate
 
         grid = EvalGrid(p_grid=np.linspace(0.01, 0.99, 99), x_grid=[0.0])
         errs = {}
@@ -203,7 +216,7 @@ class TestVariantSeparation:
             for rep in range(10):
                 rng = np.random.default_rng([5, rep])
                 d, h = generate(scenario, rng=rng)
-                model = fit_variant_model(Variant.ROBUST, d, h, scenario, rng)
+                model = _linear_variant_model(Variant.ROBUST, d, h, rng)
                 vals = roc_at(model, 0.0, grid.p_grid)
                 per_seed.append(np.max(np.abs(vals - binormal_roc(0.0,
                                                                   grid.p_grid))))

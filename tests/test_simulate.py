@@ -195,13 +195,19 @@ class TestRunCampaign:
         (NONLIN, ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, 0.05, 10.0)),
     ])
     def test_classical_variant_leaves_robust_unchanged(self, scenario, scheme):
-        # the classical fits draw nothing from the replication stream
-        alone = run_campaign(scenario, scheme, [Variant.ROBUST], n_rep=2)
-        both = run_campaign(scenario, scheme, [Variant.CLASSICAL, Variant.ROBUST],
-                            n_rep=2)
-        for attr in ("mse", "ks"):
-            assert np.array_equal(getattr(alone.variants[Variant.ROBUST], attr),
-                                  getattr(both.variants[Variant.ROBUST], attr))
+        # the classical fits draw nothing from the replication stream, and robust
+        # and hybrid share one pair of MM fits: no variant's results depend on
+        # which other variants run, or in what order
+        C, R, H = Variant.CLASSICAL, Variant.ROBUST, Variant.HYBRID
+        lists = [[R], [C, R], [H, R], [C, H, R], [R, H], [H]]
+        reports = [run_campaign(scenario, scheme, variants, n_rep=2, keep_auc=True)
+                   for variants in lists]
+        for variant in (C, R, H):
+            runs = [r.variants[variant] for r in reports if variant in r.variants]
+            for run in runs[1:]:
+                for attr in ("mse", "ks", "auc", "n_nonconverged"):
+                    assert np.array_equal(getattr(run, attr),
+                                          getattr(runs[0], attr)), (variant, attr)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="n_rep"):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from robustroc import (
-    abs_ecdf,
     adaptive_cutoff,
     atypicality_dn,
     build_weighted_ecdf,
@@ -15,7 +14,6 @@ from robustroc import (
     plain_ecdf,
     smooth_polynomial,
     standard_normal_reference,
-    weighted_quantile,
 )
 
 REF = standard_normal_reference()
@@ -44,20 +42,6 @@ class TestWeightFunctions:
         assert np.all(np.diff(vals) <= 1e-12)
         np.testing.assert_allclose(w.eval(-u), vals)
         assert np.all(vals[u >= 1.0] == 0.0)
-
-
-class TestAbsEcdf:
-    def test_all_zeros(self):
-        assert abs_ecdf(np.zeros(3))(0.0) == 1.0
-
-    def test_two_points(self):
-        g = abs_ecdf(np.array([-1.0, 2.0]))
-        assert g(1.0) == 0.5
-        assert g(2.0) == 1.0
-
-    def test_counting(self):
-        g = abs_ecdf(np.array([0.5, -1.5, 3.0]))
-        assert g(1.6) == pytest.approx(2 / 3)
 
 
 class TestAtypicality:
@@ -134,13 +118,13 @@ class TestWeightedEcdf:
     def test_quantile_examples(self):
         ecdf = build_weighted_ecdf(np.array([-1.0, 0.0, 9.0]), hard_rejection(),
                                    REF, eta=2.5)
-        assert weighted_quantile(ecdf, 0.5) == -1.0
-        assert weighted_quantile(ecdf, 0.75) == 0.0
+        assert ecdf.quantile(0.5) == -1.0
+        assert ecdf.quantile(0.75) == 0.0
 
     def test_symmetric_pair_median(self):
         a = 1.3
         ecdf = plain_ecdf(np.array([-a, a]))
-        assert weighted_quantile(ecdf, 0.5) == -a
+        assert ecdf.quantile(0.5) == -a
 
     def test_outlier_nullification(self):
         rng = np.random.default_rng(8)
