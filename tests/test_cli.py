@@ -93,6 +93,14 @@ class TestExitCodes:
         assert _run(["roc", data, "--config", ini, "--out", tmp_path]) == 1
         assert "robustroc: error: [fit] tol" in capsys.readouterr().err
 
+    def test_zero_max_iter_is_a_config_error(self, tmp_path, capsys):
+        # max_iter = 0 used to return the raw S-start after 0 iterations
+        ini = tmp_path / "run.ini"
+        ini.write_text("[fit]\nmax_iter = 0\n")
+        data = _clean_dataset(tmp_path, n=20)
+        assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 1
+        assert "robustroc: error: [fit] max_iter" in capsys.readouterr().err
+
     def test_success(self, tmp_path):
         data = _clean_dataset(tmp_path, n=50)
         assert _run(["fit", data, "--out", tmp_path, "--seed", "1"]) == 0

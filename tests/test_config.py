@@ -86,6 +86,11 @@ class TestLoadConfig:
     @pytest.mark.parametrize("key, raw", [
         ("tol", "0"), ("tol", "-1e-8"), ("n_subsamples", "0"),
         ("breakdown_b", "0"), ("breakdown_b", "0.7"),
+        # values that used to run and silently break the fits
+        ("tol", "nan"), ("tol", "inf"), ("max_iter", "0"), ("max_iter", "-3"),
+        ("rho_s_tuning", "0"), ("rho_m_tuning", "0"), ("rho_s_tuning", "-1.5"),
+        ("rho_s_tuning", "nan"), ("rho_m_tuning", "nan"), ("rho_m_tuning", "inf"),
+        ("breakdown_b", "nan"),
     ])
     def test_invalid_fit_value_names_its_key(self, tmp_path, key, raw):
         with pytest.raises(ConfigError, match=rf"\[fit\] {key}"):
