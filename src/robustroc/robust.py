@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .models import (
     Family,
@@ -16,6 +15,7 @@ from .models import (
     RegressionSpec,
     RobustFit,
     design_matrix,
+    linear_spec,
 )
 
 
@@ -26,8 +26,9 @@ _SCREEN_SEEDS = 5      # candidates solved first to set the screening scale s*
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
 # largest |residual| that leaves a scale solve room for one growth step
 _MAX_ABS_RESIDUAL = np.finfo(float).max / _SCALE_GROWTH
-# an M-objective is a mean of terms in [0, 1]: changes this small are rounding
+# a criterion that rises by at most this relative amount has moved by rounding
 _OBJECTIVE_ROUNDING = 16 * np.finfo(float).eps
+_HALVINGS = 12         # step halvings tried before a descent gives up
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -181,9 +182,13 @@ def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
 
 
 def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
-    """Lowest-index row of R with the smallest `_m_scale_rows` scale, and that
-    scale, solving only the rows that the screen described in `fit_mm_linear`
-    keeps. The rows of R are the residuals of the elemental candidates."""
+    """Lowest-index row of R (the residuals of the elemental candidates) with
+    the smallest `_m_scale_rows` scale, and that scale, solving only the rows
+    that pass the screen of Salibian-Barrera & Yohai (2006): mean rho(r/s)
+    decreases in s, so a row whose mean rho(r/s*) exceeds b cannot win. The
+    rows with the smallest `_scale_start` set s*, widened by a relative 1e-9
+    plus the solver's tolerance, and rows are solved independently, so the
+    result is bit-identical to solving every row."""
     start = _scale_start(R, b)
     seeds = np.argsort(start)[:_SCREEN_SEEDS]
     s_star = float(np.min(_m_scale_rows(R[seeds], c, b, start[seeds])))
@@ -216,48 +221,171 @@ def _elemental_subsets(n: int, q: int, m: int,
     return idx
 
 
-def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
-    return beta
+def _scale_floor(y: np.ndarray) -> float:
+    """Scale at or below which a fit of y is (numerically) exact, in y's units."""
+    return 1e-10 * float(np.max(np.abs(y)))
+
+
+def _check_identifiable(n: int, q: int, X: Optional[np.ndarray] = None) -> None:
+    """The identifiability check of every fit: n > q, and X of full rank."""
+    if n <= q:
+        raise ValueError(f"need more than q = {q} observations, got {n}")
+    if X is not None and np.linalg.matrix_rank(X) < q:
+        raise ValueError("rank-deficient design matrix")
+
+
+def _root_mean_square(r: np.ndarray, dof: int) -> float:
+    """sqrt(sum(r^2) / dof), from r / max|r| so that no square overflows."""
+    m = float(np.max(np.abs(r)))
+    if not 0.0 < m < np.inf:
+        return m        # 0 for r = 0; inf or NaN for a non-finite r
+    return m * math.sqrt(float(np.sum(np.square(r / m))) / dof)
+
+
+def _equilibrate(J: np.ndarray):
+    """J with each column divided by the power of 2 just above its largest
+    |entry|, and those divisors: the division is exact, and the rank cutoff
+    of `lstsq` no longer depends on the units of the coefficients."""
+    d = np.ldexp(1.0, np.frexp(np.max(np.abs(J), axis=0))[1])
+    return J / d, d
+
+
+def _one_step_scale(c: float, b: float):
+    """S-stage criterion of `_descend`: the one-step scale s sqrt(mean
+    rho_S(r/s) / b) at the current scale s (Salibian-Barrera & Yohai 2006),
+    which stays above the M-scale of r while s does. It is the unit of the
+    stop and the scale of the next weights."""
+    def criterion(r, s):
+        t = np.square(r / (c * s))
+        w = 1.0 - np.minimum(t, 1.0)
+        s_new = s * math.sqrt((1.0 - float(np.add.reduce(w * w * w)) / r.size) / b)
+        w = 1.0 - np.minimum(t * (s / s_new) ** 2, 1.0)     # the weights at s_new
+        return s_new, w * w, s_new
+    return criterion
+
+
+def _m_objective(sigma: float, c: float):
+    """M-stage criterion of `_descend`: mean rho_M(r / sigma) at the fixed
+    scale sigma, the unit of the stop. One pass over z = min((r / c sigma)^2, 1)
+    gives it and the next weights (1 - z)^2."""
+    cs = c * sigma
+
+    def criterion(r, _):
+        z = np.minimum(np.square(r / cs), 1.0)
+        w = 1.0 - z
+        # rho = 1 - (1 - z)^3 written so that small terms keep their relative
+        # accuracy, which the relative rounding test of `_descend` needs
+        return float(np.add.reduce(z * (3.0 - z * (3.0 - z)))) / r.size, w * w, sigma
+    return criterion
+
+
+def _least_squares(r, _):
+    """Least-squares criterion of `_descend`: the root mean square of r, also
+    the unit of the stop, with unit weights."""
+    rms = _root_mean_square(r, r.size)
+    return rms, np.ones(r.size), rms
+
+
+def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor):
+    """Reweighted Gauss-Newton descent of a criterion from beta, whose
+    residuals are r = y - f(beta): the one loop of every iterative fit.
+
+    J is the Jacobian df/dbeta: an array when it is constant (the design
+    matrix of a linear fit), else a function of beta. state is (value,
+    weights, unit) at beta, and criterion(r, value) gives the state at
+    residuals r. Each step fits J, its columns scaled by `_equilibrate`, to
+    the current residuals by weighted least squares. It is halved while it
+    raises the value by more than rounding (relative `_OBJECTIVE_ROUNDING`)
+    or makes a residual non-finite. The descent converges when an accepted
+    step moves the fitted values by less than tol * unit, or when the unit
+    is at most floor (an exact fit). It gives up after max_iter steps, or
+    when `_HALVINGS` halvings leave the value rising.
+
+    Returns beta, its residuals, the value there, the step count and whether
+    the descent converged.
+    """
+    value, w, unit = state
+    steps = 0
+    if not callable(J):
+        J, d = _equilibrate(J)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < max_iter and unit > floor:
+            steps += 1
+            sw = np.sqrt(w)
+            A, d = _equilibrate(J(beta)) if callable(J) else (J, d)
+            step = np.linalg.lstsq(A * sw[:, None], r * sw, rcond=None)[0] / d
+            bound = value * (1.0 + _OBJECTIVE_ROUNDING)
+            for _ in range(_HALVINGS):
+                cand = beta + step
+                r_cand = y - f(cand)
+                trial = criterion(r_cand, value)
+                moved = float(np.abs(r_cand - r).max())
+                if trial[0] <= bound and moved < np.inf:
+                    break
+                step = step / 2.0
+            else:
+                return beta, r, value, steps, False
+            beta, r, (value, w, unit) = cand, r_cand, trial
+            if moved < tol * unit:
+                return beta, r, value, steps, True
+    return beta, r, value, steps, unit <= floor
+
+
+def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
+    """The MM stages of both families, from elemental candidates betas (k, q)
+    with residuals R (k, n), and f and J as in `_descend`. The S-stage
+    descends the one-step scale from the screened winner, and one solve
+    warm-started at its last value gives sigma. The M-stage descends mean
+    rho_M(r / sigma), and its stop is the fit's `converged`; `iterations`
+    counts the steps of both. A scale that is not finite or at most
+    `_scale_floor(y)` marks an exact fit, returned degenerate with sigma 0
+    after a DegenerateScaleWarning."""
+    c, b = cfg.rho_s_tuning, cfg.breakdown_b
+    best, s = _smallest_scale_row(R, c, b)
+    beta = betas[best]
+    floor = _scale_floor(y)
+    steps = 0
+    if np.isfinite(s) and s > floor:
+        # residuals afresh, since the row of R comes from another computation
+        r = y - f(beta)
+        beta, r, s, steps, _ = _descend(
+            y, f, J, beta, r, _one_step_scale(c, b),
+            (s, bisquare_weight(r / s, c), s), cfg.tol, cfg.max_iter, floor)
+        s = _m_scale_row(r, s, c, b)
+    if not np.isfinite(s) or s <= floor:
+        warnings.warn(f"degenerate M-scale in {method.value} fit",
+                      DegenerateScaleWarning)
+        return RobustFit(spec=spec, beta_hat=beta, sigma_hat=0.0, method=method,
+                         converged=True, iterations=steps, degenerate_scale=True)
+    m_stage = _m_objective(s, cfg.rho_m_tuning)
+    beta, _, _, m_steps, converged = _descend(
+        y, f, J, beta, r, m_stage, m_stage(r, None), cfg.tol, cfg.max_iter, floor)
+    return RobustFit(spec=spec, beta_hat=beta, sigma_hat=s, method=method,
+                     converged=converged, iterations=steps + m_steps)
+
+
+def _curve(spec: RegressionSpec, x: np.ndarray):
+    """f and J of `_descend` for a nonlinear family at the covariates x."""
+    return (lambda beta: spec.predict(x, beta),
+            lambda beta: np.asarray(spec.gradient(x, beta), dtype=float))
 
 
 def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> RobustFit:
-    """Linear MM fit: elemental-subset S-estimator for (beta_S, sigma) then a
-    fixed-scale bisquare M-step started at beta_S.
+    """Linear MM fit: an S-estimator (beta_S, sigma), then a fixed-scale
+    bisquare M-step started at beta_S, both through `_fit_mm` with J = X.
 
-    The S-search takes, over the n_subsamples elemental candidates
-    (`_elemental_subsets`), the one whose residuals have the smallest
-    M-scale (ties go to the lowest index). It follows the screen of
-    Salibian-Barrera & Yohai (2006, "A fast algorithm for S-regression
-    estimates"): mean rho(r/s) decreases in s, so a candidate whose mean
-    rho(r/s*) exceeds b has a scale above s* and cannot win. The scales of
-    the few candidates with the smallest `_scale_start` set s*; one
-    vectorized pass of mean rho at s* finds the candidates that may still
-    beat it, and only those get a scale solve. The screen compares at s*
-    widened by a relative 1e-9 plus the solver's relative tolerance, so no
-    row it drops could have reached a solved scale <= s*. Each row's solve
-    runs independently of the others, so the winner, its scale and the
-    whole fit are bit-identical to solving every candidate.
-
-    The S-refinement is reweighted least squares with the one-step scale of
-    the same paper, s <- s sqrt(mean rho(r/s) / b), which stays above the
-    M-scale of r while s does; it stops when that scale would rise or the
-    fitted values move by less than tol * s, and one warm-started solve then
-    gives sigma. The M-step stops when the fitted values move by less than
-    tol * sigma, so neither stage depends on the units of x.
+    The candidates are n_subsamples elemental subsets of q observations
+    (`_elemental_subsets`), each solved exactly; a subset whose determinant
+    is small relative to the column scales of X is singular and drops out.
+    Every stop is relative to the current scale, so the fit does not depend
+    on the units of x. Raises ValueError when n <= q, when X is
+    rank-deficient, and when every drawn subset is singular.
     """
-    from .models import linear_spec
-
     spec = linear_spec(sample.p, intercept)
     X = design_matrix(sample.x, intercept)
     y = sample.y
     n, q = X.shape
-    if n <= q:
-        raise ValueError(f"need more than q = {q} observations, got {n}")
-    if np.linalg.matrix_rank(X) < q:
-        raise ValueError("rank-deficient design matrix")
-    c, b = cfg.rho_s_tuning, cfg.breakdown_b
+    _check_identifiable(n, q, X)
 
     rng = np.random.default_rng(cfg.seed)
     idx = _elemental_subsets(n, q, cfg.n_subsamples, rng)
@@ -269,86 +397,8 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
         raise ValueError("all elemental subsets were singular")
     betas = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
     R = y[None, :] - betas @ X.T
-    best, s = _smallest_scale_row(R, c, b)
-    beta = betas[best]
-
-    yscale = max(float(np.max(np.abs(y))), 1.0)
-    s_floor = 1e-10 * yscale
-    iters = 0
-    if np.isfinite(s) and s > s_floor:
-        # S-refinement: each accepted reweighted step lowers the one-step scale.
-        # The first residuals are computed afresh, since the row of R comes
-        # from another matrix product.
-        r = y - X @ beta
-        for _ in range(cfg.max_iter):
-            iters += 1
-            beta_new = _wls(X, y, bisquare_weight(r / s, c))
-            r_new = y - X @ beta_new
-            s_new = s * math.sqrt(float(np.mean(bisquare_rho(r_new / s, c))) / b)
-            if s_new > s:
-                break
-            moved = float(np.max(np.abs(r_new - r)))
-            beta, s, r = beta_new, s_new, r_new
-            if s <= s_floor or moved < cfg.tol * s:
-                break
-        s = _m_scale_row(r, s, c, b)
-    if not np.isfinite(s) or s <= s_floor:
-        # (numerically) exact fit on more than half the points: degenerate scale
-        warnings.warn("degenerate M-scale in linear MM fit", DegenerateScaleWarning)
-        return RobustFit(spec=spec, beta_hat=beta, sigma_hat=0.0,
-                         method=FitMethod.MM_LINEAR, converged=True,
-                         iterations=iters, degenerate_scale=True)
-    sigma = s
-
-    # M-step: bisquare IRLS at fixed scale sigma
-    converged = False
-    for _ in range(cfg.max_iter):
-        iters += 1
-        w = bisquare_weight(r / sigma, cfg.rho_m_tuning)
-        if not np.any(w > 0):
-            break
-        beta = _wls(X, y, w)
-        r_new = y - X @ beta
-        moved = float(np.max(np.abs(r_new - r)))
-        r = r_new
-        if moved < cfg.tol * sigma:
-            converged = True
-            break
-    return RobustFit(spec=spec, beta_hat=beta, sigma_hat=sigma,
-                     method=FitMethod.MM_LINEAR, converged=converged,
-                     iterations=iters)
-
-
-def _gauss_newton_scale(y, x, spec, beta0, s0, cfg):
-    """Reweighted Gauss-Newton descent of the M-scale objective from beta0,
-    whose M-scale is s0. Each trial step solves its M-scale warm-started at
-    the current one; the descent stops when no halving lowers the scale or
-    the fitted values move by less than tol * s."""
-    c, b = cfg.rho_s_tuning, cfg.breakdown_b
-    beta, s = np.asarray(beta0, dtype=float), s0
-    r = y - spec.predict(x, beta)
-    for _ in range(cfg.max_iter):
-        if not np.isfinite(s):
-            break
-        w = bisquare_weight(r / s, c)
-        if not np.any(w > 0):
-            break
-        J = np.asarray(spec.gradient(np.atleast_2d(x), beta), dtype=float)
-        sw = np.sqrt(w)
-        step, *_ = np.linalg.lstsq(J * sw[:, None], r * sw, rcond=None)
-        moved = None
-        for _ in range(12):
-            cand = beta + step
-            r_cand = y - spec.predict(x, cand)
-            s_cand = _m_scale_row(r_cand, s, c, b)
-            if s_cand < s:
-                moved = float(np.max(np.abs(r_cand - r)))
-                beta, s, r = cand, s_cand, r_cand
-                break
-            step = step / 2.0
-        if moved is None or moved < cfg.tol * s:
-            break
-    return beta, s
+    return _fit_mm(y, lambda beta: X @ beta, X, betas, R, spec,
+                   FitMethod.MM_LINEAR, cfg)
 
 
 def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
@@ -376,31 +426,22 @@ def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
 
 def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
                      cfg: MMConfig) -> RobustFit:
-    """Nonlinear MM fit of the exponential family y = b1 * exp(b2 * x).
+    """Nonlinear MM fit of the exponential family y = b1 * exp(b2 * x): the
+    MM stages of `_fit_mm`, as for a linear fit, with J = df/dbeta.
 
-    The S-stage searches elemental subsets, as for nonlinear S-estimators
-    (Stromberg 1993; Maronna, Martin, Yohai & Salibian-Barrera 2019): each
-    of n_subsamples random pairs of distinct observations gives the curve
-    through both points (`_exponential_pairs`), the screened search of
-    `fit_mm_linear` takes the candidate whose residuals have the smallest
-    M-scale, and a reweighted Gauss-Newton descent of the M-scale refines
-    it into (beta_S, sigma). A fixed-scale bisquare M-stage follows, with
-    halved Gauss-Newton steps; it has converged when the fitted values move
-    by less than tol * sigma, or when no halving lowers the M-objective by
-    more than rounding.
-
-    Raises ValueError when n <= 2, when the covariate is constant (only
-    b1 * exp(b2 * x) is then identified, not b1 and b2), and when no drawn
-    pair has a finite exact fit.
+    The candidates come from elemental subsets, as for nonlinear S-estimators
+    (Stromberg 1993; Maronna, Martin, Yohai & Salibian-Barrera 2019): each of
+    n_subsamples random pairs of distinct observations gives the curve
+    through both points (`_exponential_pairs`). Raises ValueError when
+    n <= 2, when the covariate is constant (only b1 * exp(b2 * x) is then
+    identified, not b1 and b2), and when no drawn pair has a finite exact fit.
     """
     if spec.gradient is None:
         raise ValueError("nonlinear MM fitting requires a gradient")
     if spec.family is not Family.EXPONENTIAL:
         raise ValueError("elemental-pair starts exist for the exponential family only")
     x, y = sample.x, sample.y
-    n, q = sample.n, spec.coef_dim
-    if n <= q:
-        raise ValueError(f"need more than q = {q} observations, got {n}")
+    _check_identifiable(sample.n, spec.coef_dim)
     if np.all(x == x[0]):
         raise ValueError("constant covariate: the exponential curve is not identified")
 
@@ -408,54 +449,7 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
     betas, R, _ = _exponential_pairs(x[:, 0], y, cfg.n_subsamples, rng)
     if betas.shape[0] == 0:
         raise ValueError("no elemental pair has a finite exact fit")
-    best, s = _smallest_scale_row(R, cfg.rho_s_tuning, cfg.breakdown_b)
-    beta, sigma = _gauss_newton_scale(y, x, spec, betas[best], s, cfg)
-
-    yscale = max(float(np.max(np.abs(y))), 1.0)
-    if not np.isfinite(sigma) or sigma <= 1e-10 * yscale:
-        # numerically exact fit: the M-stage is meaningless at this scale
-        warnings.warn("degenerate M-scale in nonlinear MM fit", DegenerateScaleWarning)
-        return RobustFit(spec=spec, beta_hat=beta, sigma_hat=0.0,
-                         method=FitMethod.MM_NONLINEAR, converged=True,
-                         iterations=0, degenerate_scale=True)
-
-    def m_objective(r):
-        return float(np.mean(bisquare_rho(r / sigma, cfg.rho_m_tuning)))
-
-    r = y - spec.predict(x, beta)
-    obj = m_objective(r)
-    converged = False
-    iters = 0
-    for _ in range(cfg.max_iter):
-        iters += 1
-        w = bisquare_weight(r / sigma, cfg.rho_m_tuning)
-        if not np.any(w > 0):
-            break
-        J = np.asarray(spec.gradient(np.atleast_2d(x), beta), dtype=float)
-        sw = np.sqrt(w)
-        try:
-            step, *_ = np.linalg.lstsq(J * sw[:, None], r * sw, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        for _ in range(12):
-            cand = beta + step
-            r_cand = y - spec.predict(x, cand)
-            obj_cand = m_objective(r_cand)
-            negligible = np.max(np.abs(r_cand - r)) < cfg.tol * sigma
-            if obj_cand <= obj:
-                beta, obj, r = cand, obj_cand, r_cand
-                break
-            if negligible or obj_cand - obj <= _OBJECTIVE_ROUNDING:
-                break      # at the optimum: a rejected step that changes nothing
-            step = step / 2.0
-        else:
-            break          # no halving lowered the objective
-        if negligible or obj_cand > obj:
-            converged = True
-            break
-    return RobustFit(spec=spec, beta_hat=beta, sigma_hat=sigma,
-                     method=FitMethod.MM_NONLINEAR, converged=converged,
-                     iterations=iters)
+    return _fit_mm(y, *_curve(spec, x), betas, R, spec, FitMethod.MM_NONLINEAR, cfg)
 
 
 def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
@@ -472,41 +466,40 @@ def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
 
 def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
                       beta_init: Optional[np.ndarray] = None) -> RobustFit:
-    """Ordinary (linear) or Gauss-Newton (nonlinear) least squares;
-    sigma_hat is the residual standard deviation with denominator n - q.
+    """Classical least-squares fit; sigma_hat is the residual standard
+    deviation with denominator n - q (from r / max|r|, so it cannot
+    overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
 
-    An exponential fit starts from `_initial_beta_exponential` unless
-    beta_init is given; other nonlinear families need beta_init."""
+    A linear fit is one direct `lstsq`. A nonlinear fit is the unit-weight
+    case of `_descend`, with the default `MMConfig` tol and max_iter; an
+    exponential one starts from `_initial_beta_exponential` unless beta_init
+    is given, and other families need beta_init. Raises ValueError when
+    n <= q and when a linear design is rank-deficient.
+    """
     x, y = sample.x, sample.y
-    n = sample.n
-    q = spec.coef_dim
-    if spec.family is Family.LINEAR:
-        X = design_matrix(x, spec.intercept)
-        if np.linalg.matrix_rank(X) < X.shape[1]:
-            raise ValueError("rank-deficient design matrix")
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        converged = True
-        iters = 1
+    n, q = sample.n, spec.coef_dim
+    linear = spec.family is Family.LINEAR
+    X = design_matrix(x, spec.intercept) if linear else None
+    _check_identifiable(n, q, X)
+    floor = _scale_floor(y)
+    if linear:
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        r = y - X @ beta
+        converged, iters = True, 1
     else:
         if beta_init is None and spec.family is Family.EXPONENTIAL:
             beta_init = _initial_beta_exponential(sample)
         if spec.gradient is None or beta_init is None:
             raise ValueError("nonlinear least squares needs a gradient and beta_init")
-        res = least_squares(
-            lambda b: y - spec.predict(x, b),
-            np.asarray(beta_init, dtype=float),
-            jac=lambda b: -np.asarray(spec.gradient(np.atleast_2d(x), b), dtype=float),
-            method="lm",
-        )
-        beta = res.x
-        converged = bool(res.success)
-        iters = int(res.nfev)
-    resid = y - spec.predict(x, beta)
-    dof = max(n - q, 1)
-    sigma = float(np.sqrt(np.sum(resid ** 2) / dof))
-    if sigma <= 1e-10 * max(float(np.max(np.abs(y))), 1.0):
+        f, J = _curve(spec, x)
+        beta = np.asarray(beta_init, dtype=float)
+        r = y - f(beta)
+        beta, r, _, iters, converged = _descend(
+            y, f, J, beta, r, _least_squares, _least_squares(r, None),
+            MMConfig.tol, MMConfig.max_iter, floor)
+    sigma = _root_mean_square(r, n - q)
+    if sigma <= floor:
         sigma = 0.0  # numerically exact fit
-    degenerate = sigma == 0.0
     return RobustFit(spec=spec, beta_hat=beta, sigma_hat=sigma,
                      method=FitMethod.LEAST_SQUARES, converged=converged,
-                     iterations=iters, degenerate_scale=degenerate)
+                     iterations=iters, degenerate_scale=sigma == 0.0)

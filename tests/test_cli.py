@@ -1,6 +1,7 @@
 """CLI commands, exit codes, and export round trips."""
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,28 @@ class TestExitCodes:
         path = tmp_path / "tiny.csv"
         path.write_text("group,y,x1\nD,1.0,0.0\nD,2.0,1.0\nH,1.0,0.0\nH,2.0,1.0\n")
         assert _run(["fit", path, "--out", tmp_path]) == 2
+
+    def test_classical_too_few_observations(self, tmp_path, capsys):
+        # n = q = 2: the classical fit raises as the MM fits do, instead of
+        # returning sigma = 0 and failing later on the residuals
+        path = tmp_path / "tiny.csv"
+        path.write_text("group,y,x1\nD,1.0,0.0\nD,2.5,1.0\nH,1.0,0.0\nH,2.0,1.0\n")
+        assert _run(["roc", path, "--variant", "classical", "--out", tmp_path]) == 2
+        assert "need more than q = 2 observations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e300])
+    @pytest.mark.parametrize("variant", ["robust", "classical"])
+    def test_extreme_marker_units(self, tmp_path, capsys, scale, variant):
+        # the degenerate-scale floor is relative to max|y|, and the classical
+        # scale is computed from r / max|r|, so neither units exit 2 or warn
+        d, h = generate(ScenarioSpec(ScenarioKind.LINEAR, 30, 30, seed=3))
+        path = tmp_path / "scaled.csv"
+        write_dataset(path, *(PopulationSample(s.label, scale * s.y, s.x)
+                              for s in (d, h)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(["roc", path, "--variant", variant, "--out", tmp_path]) == 0
+        assert "Warning" not in capsys.readouterr().err
 
     def test_exponential_too_few_observations(self, tmp_path):
         # two diseased observations cannot support the two-parameter MM fit

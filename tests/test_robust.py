@@ -471,24 +471,6 @@ class TestElementalPairs:
                                              CFG.breakdown_b)
             assert got == TestScreenedSSearch._exhaustive_row(R)
 
-    def test_refinement_starts_from_screened_winner(self, monkeypatch):
-        sample = _exp_sample(3, n=100, shift=10.0)
-        cfg = MMConfig(seed=3)
-        betas, R, _ = robust._exponential_pairs(
-            sample.x[:, 0], sample.y, cfg.n_subsamples, np.random.default_rng(3))
-        best, scale = TestScreenedSSearch._exhaustive_row(R)
-        starts = []
-        descend = robust._gauss_newton_scale
-
-        def spy(y, x, spec, beta0, s0, cfg_):
-            starts.append((beta0, s0))
-            return descend(y, x, spec, beta0, s0, cfg_)
-
-        monkeypatch.setattr(robust, "_gauss_newton_scale", spy)
-        fit_mm_nonlinear(sample, exponential_spec(), cfg)
-        assert len(starts) == 1 and np.array_equal(starts[0][0], betas[best])
-        assert starts[0][1] == scale
-
     def test_draw_covers_pairs_in_both_orders(self):
         # i is uniform and j uniform over the other n - 1 indices
         _, _, pairs = robust._exponential_pairs(
@@ -508,10 +490,15 @@ class TestFitLeastSquares:
         np.testing.assert_allclose(fit.beta_hat, [1.0, 2.0], atol=1e-12)
         assert fit.sigma_hat == 0.0 and fit.degenerate_scale
 
-    def test_two_point_interpolation(self):
-        s = PopulationSample(Group.HEALTHY, [0.0, 1.0], [0.0, 1.0])
-        fit = fit_least_squares(s, linear_spec(1, intercept=True))
-        np.testing.assert_allclose(fit.beta_hat, [0.0, 1.0], atol=1e-12)
+    @pytest.mark.parametrize("spec", [linear_spec(1, intercept=True),
+                                      exponential_spec()],
+                             ids=["linear", "exponential"])
+    def test_too_few_observations(self, spec):
+        # n = q leaves no degree of freedom for sigma: the same check and
+        # message as the MM fits, where a clamped denominator gave sigma = 0
+        s = PopulationSample(Group.HEALTHY, [1.0, 2.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="need more than q = 2 observations"):
+            fit_least_squares(s, spec)
 
     def test_exponential_starts_log_linear(self):
         # without beta_init, the start is the least-squares line of log y on x
@@ -548,6 +535,33 @@ class TestFitLeastSquares:
         resid = y - X @ beta
         assert fit.sigma_hat == pytest.approx(
             np.sqrt(np.sum(resid ** 2) / 48), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [linear_spec(1, intercept=True),
+                                      exponential_spec()],
+                             ids=["linear", "exponential"])
+    def test_huge_markers_scale_without_overflow(self, spec):
+        # sigma comes from r / max|r|: at y * 1e300 no square overflows
+        s = _exp_sample(2, n=60)
+        fit = fit_least_squares(s, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = fit_least_squares(PopulationSample(Group.DISEASED, 1e300 * s.y,
+                                                     s.x), spec)
+        assert big.sigma_hat / 1e300 == pytest.approx(fit.sigma_hat, rel=1e-12)
+        assert big.beta_hat[0] / 1e300 == pytest.approx(fit.beta_hat[0], rel=1e-12)
+
+    def test_exponential_reaches_the_optimum(self):
+        # the Gauss-Newton descent stops at a stationary point of sum(r^2):
+        # the residuals are orthogonal to the Jacobian's columns
+        for seed in range(10):
+            for shift in (None, 10.0):
+                s = _exp_sample(seed, n=100, shift=shift)
+                fit = fit_least_squares(s, exponential_spec())
+                r = s.y - fit.predict(s.x)
+                J = exponential_spec().gradient(s.x, fit.beta_hat)
+                cos = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0)
+                                         * np.linalg.norm(r))
+                assert fit.converged and np.max(cos) < 1e-8
 
 
 # The bisquare functions written with np.where, as they were before min(z, 1)
@@ -691,51 +705,6 @@ class TestFastMScale:
                 reference = fit_mm_linear(s, intercept=True, cfg=MMConfig(seed=seed))
             self._assert_identical(fast, reference)
 
-    def test_linear_s_refinement_weighs_current_residuals(self, monkeypatch):
-        # each IRLS step after the first weighs y - X beta of the step before
-        # at the one-step scale s <- s sqrt(mean rho(r / s) / b), with the bits
-        # of residuals computed afresh from that beta; the last accepted
-        # residuals and scale start the final solve
-        sample, _, y = _linear_sample(5, n=100, contaminate=10)
-        X = robust.design_matrix(sample.x, True)
-        c, b = CFG.rho_s_tuning, CFG.breakdown_b
-        weights, betas, starts, solves = [], [], [], []
-        wls, screen, solve = (robust._wls, robust._smallest_scale_row,
-                              robust._m_scale_row)
-
-        def recording_wls(X_, y_, w):
-            beta = wls(X_, y_, w)
-            weights.append(w)
-            betas.append(beta)
-            return beta
-
-        def recording_screen(R, c_, b_):
-            starts.append(screen(R, c_, b_))
-            return starts[-1]
-
-        def recording_solve(r, s0, c_, b_):
-            solves.append((r, s0))
-            return solve(r, s0, c_, b_)
-
-        monkeypatch.setattr(robust, "_wls", recording_wls)
-        monkeypatch.setattr(robust, "_smallest_scale_row", recording_screen)
-        monkeypatch.setattr(robust, "_m_scale_row", recording_solve)
-        fit_mm_linear(sample, intercept=True, cfg=MMConfig(seed=5))
-        (r_last, s_last), = solves
-        s = starts[0][1]
-        steps = 0
-        for beta, w_next in zip(betas, weights[1:]):
-            r = y - X @ beta
-            s_next = s * np.sqrt(float(np.mean(bisquare_rho(r / s, c))) / b)
-            if s_next > s:
-                break          # step rejected: the S-refinement ended before it
-            s = s_next
-            steps += 1
-            if np.array_equal(r, r_last):
-                break          # the last accepted step; the M-step follows
-            assert np.array_equal(w_next, bisquare_weight(r / s, c))
-        assert steps > 2 and s == s_last
-
 
 class TestScaleSolver:
     """`_m_scale_rows`: one safeguarded Newton solver for every M-scale."""
@@ -822,3 +791,183 @@ class TestElementalSubsets:
         # and, unordered, about equally often: 4000 / 35 = 114 each
         _, counts = np.unique(np.sort(idx, axis=1), axis=0, return_counts=True)
         assert counts.min() > 70 and counts.max() < 160
+
+
+FAMILIES = ("linear", "exponential")
+
+
+def _family_sample(family, seed, scale=1.0):
+    if family == "linear":
+        s, _, _ = _linear_sample(seed, n=100, contaminate=10)
+    else:
+        s = _exp_sample(seed, n=100, shift=10.0)
+    return PopulationSample(s.label, scale * s.y, s.x)
+
+
+def _family_fit(family, sample, cfg):
+    if family == "linear":
+        return fit_mm_linear(sample, intercept=True, cfg=cfg)
+    return fit_mm_nonlinear(sample, exponential_spec(), cfg)
+
+
+def _family_curve(family, x):
+    """Fitted values and Jacobian of the family, as the fits compute them."""
+    if family == "linear":
+        X = robust.design_matrix(x, True)
+        return (lambda beta: X @ beta), (lambda beta: X)
+    spec = exponential_spec()
+    return (lambda beta: spec.predict(x, beta)), (lambda beta: spec.gradient(x, beta))
+
+
+class TestDescent:
+    """The one reweighted Gauss-Newton descent behind every iterative fit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_s_stage_starts_from_screened_winner(self, family, monkeypatch):
+        sample = _family_sample(family, 3)
+        candidates, starts = [], []
+        fit_mm, descend = robust._fit_mm, robust._descend
+
+        def spy_fit_mm(y, f, J, betas, R, *rest):
+            candidates.append((betas, R))
+            return fit_mm(y, f, J, betas, R, *rest)
+
+        def spy_descend(y, f, J, beta, r, criterion, state, *rest):
+            starts.append((beta.copy(), r.copy(), state))
+            return descend(y, f, J, beta, r, criterion, state, *rest)
+
+        monkeypatch.setattr(robust, "_fit_mm", spy_fit_mm)
+        monkeypatch.setattr(robust, "_descend", spy_descend)
+        _family_fit(family, sample, MMConfig(seed=3))
+        (betas, R), = candidates
+        best, scale = TestScreenedSSearch._exhaustive_row(R)
+        assert len(starts) == 2             # the S-stage, then the M-stage
+        beta, r, (value, w, unit) = starts[0]
+        assert np.array_equal(beta, betas[best])
+        assert value == unit == scale
+        assert np.array_equal(w, bisquare_weight(r / scale, CFG.rho_s_tuning))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_s_steps_weigh_current_residuals(self, family, monkeypatch):
+        # each S-step regresses the current residuals y - f(beta), computed
+        # afresh, on J(beta) with weights at the one-step scale
+        # s <- s sqrt(mean rho(r / s) / b); the last accepted residuals and
+        # scale start the final solve
+        sample = _family_sample(family, 5)
+        predict, jacobian = _family_curve(family, sample.x)
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        log, solves = [], []
+        descend, lstsq, solve = (robust._descend, np.linalg.lstsq,
+                                 robust._m_scale_row)
+
+        def recording_lstsq(A, rhs, rcond=None):
+            log.append(("lstsq", A, rhs))
+            return lstsq(A, rhs, rcond=rcond)
+
+        def spy_descend(y, f, J, beta, r, criterion, state, *rest):
+            if log:                          # the M-stage runs unrecorded
+                return descend(y, f, J, beta, r, criterion, state, *rest)
+            log.append(("start", beta, r, state))
+
+            def f_spy(beta_):
+                log.append(("beta", beta_))
+                return f(beta_)
+
+            def criterion_spy(r_, s_):
+                out = criterion(r_, s_)
+                log.append(("state", r_, s_, out))
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "lstsq", recording_lstsq)
+                return descend(y, f_spy, J, beta, r, criterion_spy, state, *rest)
+
+        def recording_solve(r, s0, c_, b_):
+            solves.append((r, s0))
+            return solve(r, s0, c_, b_)
+
+        monkeypatch.setattr(robust, "_descend", spy_descend)
+        monkeypatch.setattr(robust, "_m_scale_row", recording_solve)
+        _family_fit(family, sample, MMConfig(seed=5))
+        _, beta, r, (s, w, _) = log[0]
+        steps = 0
+        for event in log[1:]:
+            if event[0] == "lstsq":
+                _, A, rhs = event
+                sw = np.sqrt(w)
+                # the columns of J are scaled by powers of 2, which is exact
+                JW = jacobian(beta) * sw[:, None]
+                d = JW[np.argmax(sw)] / A[np.argmax(sw)]
+                assert np.all(np.frexp(d)[0] == 0.5)
+                assert np.array_equal(A * d, JW)
+                assert np.array_equal(rhs, r * sw)
+                steps += 1
+            elif event[0] == "beta":
+                cand = event[1]
+            else:
+                _, r_t, s_prev, (s_t, w_t, unit) = event
+                assert s_prev == s
+                assert np.array_equal(r_t, sample.y - predict(cand))
+                assert s_t == unit
+                assert s_t == pytest.approx(
+                    s * np.sqrt(np.mean(bisquare_rho(r_t / s, c)) / b), rel=1e-14)
+                np.testing.assert_allclose(w_t, bisquare_weight(r_t / s_t, c),
+                                           rtol=0.0, atol=1e-14)
+                if s_t <= s * (1.0 + robust._OBJECTIVE_ROUNDING):
+                    beta, r, s, w = cand, r_t, s_t, w_t
+        (r_last, s_last), = solves
+        assert steps > 2 and np.array_equal(r_last, r) and s_last == s
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_iterations_count_both_stages(self, family, monkeypatch):
+        steps = []
+        descend = robust._descend
+
+        def spy(*args):
+            out = descend(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(robust, "_descend", spy)
+        fit = _family_fit(family, _family_sample(family, 8), MMConfig(seed=8))
+        assert len(steps) == 2 and min(steps) > 0
+        assert fit.iterations == sum(steps)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=-20.0, max_value=20.0),
+           st.booleans(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, log_c=0.5, negative=True, contaminated=True)
+    @example(seed=1, log_c=-9.0, negative=False, contaminated=False)
+    def test_exponential_fit_equivariant_under_marker_scale(
+            self, seed, log_c, negative, contaminated):
+        # every stop and every acceptance is relative, so the fit of y * c is
+        # the fit of y mapped to (c b1, b2) and |c| sigma, to rounding
+        c = (-1.0 if negative else 1.0) * 10.0 ** log_c
+        s = _exp_sample(seed, n=100, shift=10.0 if contaminated else None)
+        cfg = MMConfig(seed=seed)
+        fit = fit_mm_nonlinear(s, exponential_spec(), cfg)
+        scaled = fit_mm_nonlinear(PopulationSample(s.label, c * s.y, s.x),
+                                  exponential_spec(), cfg)
+        assert scaled.beta_hat[0] / c == pytest.approx(fit.beta_hat[0], rel=1e-12)
+        assert scaled.beta_hat[1] == pytest.approx(fit.beta_hat[1], rel=1e-12)
+        assert scaled.sigma_hat / abs(c) == pytest.approx(fit.sigma_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("fit", ["mm_linear", "mm_exponential",
+                                     "ls_linear", "ls_exponential"])
+    def test_tiny_marker_units_fit(self, fit):
+        # the degenerate-scale floor is 1e-10 max|y|, relative to y: at
+        # y * 1e-11 no fit is flagged degenerate
+        family = fit[3:]
+        sample = _family_sample(family, 1)
+        tiny = _family_sample(family, 1, scale=1e-11)
+        if fit.startswith("mm"):
+            fits = [_family_fit(family, s_, MMConfig(seed=1)) for s_ in (sample, tiny)]
+        else:
+            spec = (linear_spec(1, intercept=True) if family == "linear"
+                    else exponential_spec())
+            fits = [fit_least_squares(s_, spec) for s_ in (sample, tiny)]
+        unit, scaled = fits
+        assert not scaled.degenerate_scale
+        assert scaled.sigma_hat / 1e-11 == pytest.approx(unit.sigma_hat, rel=1e-9)
+        assert scaled.beta_hat[0] / 1e-11 == pytest.approx(unit.beta_hat[0], rel=1e-9)
