@@ -5,7 +5,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,14 +22,11 @@ from .models import (
     EvalGrid,
     Family,
     PopulationSample,
-    RegressionSpec,
-    exponential_spec,
-    linear_spec,
+    default_grids,
+    family_spec,
 )
-from .robust import MMConfig
 from .roc import (
     ConditionalRocModel,
-    MarkerTransform,
     RocSurface,
     Variant,
     auc_curve,
@@ -37,7 +34,7 @@ from .roc import (
     transform_marker,
 )
 from .simulate import fit_population, residual_distribution, run_campaign
-from .weighting import weight_function
+from .weighting import WeightKind, weight_function
 
 FMT = "%.17g"
 
@@ -55,10 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _regression_spec(cfg: RunConfig, p: int) -> RegressionSpec:
-    if cfg.family is Family.LINEAR:
-        return linear_spec(p, intercept=True)
-    return exponential_spec()
+def _dataset_config(cfg: RunConfig) -> RunConfig:
+    """cfg with an unset family and weight kind at the defaults of the
+    commands that read a dataset: linear, with hard-rejection weights."""
+    return replace(cfg, family=cfg.family or Family.LINEAR,
+                   weight_kind=cfg.weight_kind or WeightKind.HARD_REJECTION)
 
 
 def _load_samples(path, cfg: RunConfig):
@@ -116,10 +114,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_fit(dataset: str, cfg: RunConfig, out_dir: Path) -> Path:
     """Fit both populations and write the residual/weight diagnostics report."""
+    cfg = _dataset_config(cfg)
     diseased, healthy = _load_samples(dataset, cfg)
     report = {"variant": cfg.variant.value, "family": cfg.family.value,
               "eta": cfg.eta, "seed": cfg.seed}
-    spec = _regression_spec(cfg, diseased.p)
+    spec = family_spec(cfg.family, diseased.p)
     mm = replace(cfg.mm, seed=cfg.seed)
     weights = weight_function(cfg.weight_kind)
     for name, sample in (("diseased", diseased), ("healthy", healthy)):
@@ -132,13 +131,15 @@ def cmd_fit(dataset: str, cfg: RunConfig, out_dir: Path) -> Path:
     return out
 
 
-def _eval_grid(cfg: RunConfig, diseased: PopulationSample,
-               healthy: PopulationSample) -> EvalGrid:
+def _eval_grid(cfg: RunConfig, x_min: float, x_max: float,
+               x_count: int) -> EvalGrid:
+    """The [grids] settings, with the command's defaults for the x settings
+    that are unset."""
     p = np.linspace(cfg.p_min, cfg.p_max, cfg.p_count)
-    x_all = np.concatenate([diseased.x[:, 0], healthy.x[:, 0]])
-    lo = cfg.x_min if cfg.x_min is not None else float(x_all.min())
-    hi = cfg.x_max if cfg.x_max is not None else float(x_all.max())
-    return EvalGrid(p_grid=p, x_grid=np.linspace(lo, hi, cfg.x_count))
+    lo = x_min if cfg.x_min is None else cfg.x_min
+    hi = x_max if cfg.x_max is None else cfg.x_max
+    count = x_count if cfg.x_count is None else cfg.x_count
+    return EvalGrid(p_grid=p, x_grid=np.linspace(lo, hi, count))
 
 
 def write_surface_csv(path: Path, surface: RocSurface) -> None:
@@ -163,8 +164,9 @@ def read_surface_csv(path) -> RocSurface:
 
 def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Fit, build the plug-in ROC surface and AUC curve, and export them."""
+    cfg = _dataset_config(cfg)
     diseased, healthy = _load_samples(dataset, cfg)
-    spec = _regression_spec(cfg, diseased.p)
+    spec = family_spec(cfg.family, diseased.p)
     mm = replace(cfg.mm, seed=cfg.seed)
     weights = weight_function(cfg.weight_kind)
     fit_d = fit_population(diseased, spec, cfg.variant, mm)
@@ -173,7 +175,8 @@ def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Pa
     g_h = residual_distribution(healthy, fit_h, cfg.variant, weights, cfg.eta)
     model = ConditionalRocModel(fit_D=fit_d, fit_H=fit_h, gD_hat=g_d, gH_hat=g_h,
                                 variant=cfg.variant)
-    grid = _eval_grid(cfg, diseased, healthy)
+    x_all = np.concatenate([diseased.x[:, 0], healthy.x[:, 0]])
+    grid = _eval_grid(cfg, float(x_all.min()), float(x_all.max()), 41)
     surface = roc_surface(model, grid)
     auc = auc_curve(surface)
 
@@ -196,50 +199,36 @@ def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Pa
                     "converged": fit_h.converged},
         "grid": {"p_min": cfg.p_min, "p_max": cfg.p_max, "p_count": cfg.p_count,
                  "x_min": float(grid.x_grid[0]), "x_max": float(grid.x_grid[-1]),
-                 "x_count": cfg.x_count},
+                 "x_count": grid.x_grid.size},
     })
     return surf_path, auc_path, meta_path
 
 
-# Settings a campaign does not apply yet: its scenario fixes the model, the
-# variants, the weight function and the grids, and run_campaign its MM tuning.
-_SIMULATE_UNAPPLIED = {
-    "family": "[model] family (--model)",
-    "transform": "[model] transform",
-    "variant": "[fit] variant (--variant)",
-    "weight_kind": "[weights] kind (--weights)",
-    **{attr: f"[grids] {attr}"
-       for attr in ("p_min", "p_max", "p_count", "x_min", "x_max", "x_count")},
-}
-
-
-def _check_simulate_settings(cfg: RunConfig) -> None:
-    """Reject, by name, each setting `simulate` would drop that is not at its default."""
-    default = RunConfig()
-    unapplied = [name for attr, name in _SIMULATE_UNAPPLIED.items()
-                 if getattr(cfg, attr) != getattr(default, attr)]
-    unapplied += [f"[fit] {f.name}" for f in fields(MMConfig) if f.name != "seed"
-                  and getattr(cfg.mm, f.name) != getattr(default.mm, f.name)]
-    if unapplied:
-        raise UsageError("simulate does not apply these settings yet; remove them "
-                         "or give their defaults: " + ", ".join(unapplied))
-
-
-def cmd_simulate(cfg: RunConfig, out_dir: Path,
-                 variants: Optional[list] = None) -> Path:
-    """Run a replication campaign and export the metrics report (and, when
-    requested, the per-replication AUC matrix per variant)."""
-    _check_simulate_settings(cfg)
-    if variants is None:
-        variants = [Variant.CLASSICAL, Variant.ROBUST]
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> Path:
+    """Run a replication campaign of the classical variant and cfg.variant,
+    and export the metrics report (and, when requested, the per-replication
+    AUC matrix per variant). The scenario sets the family and, unless they
+    are given, the weights and the x grid."""
+    if cfg.transform is not None:
+        raise UsageError("[model] transform does not apply to simulate: "
+                         "generated markers have no raw scale to transform")
+    family = cfg.scenario.family
+    if cfg.family not in (None, family):
+        raise UsageError(f"[model] family (--model) {cfg.family.value} contradicts "
+                         f"[simulate] scenario {cfg.scenario.value}, whose family "
+                         f"is {family.value}")
     try:
         scheme = cfg.contamination_scheme()
         scheme.validate_for(cfg.scenario)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = run_campaign(cfg.scenario_spec(), scheme,
-                          variants, cfg.n_rep, eta=cfg.eta,
-                          keep_auc=cfg.keep_auc)
+    variants = list(dict.fromkeys([Variant.CLASSICAL, cfg.variant]))
+    x_default = default_grids(cfg.scenario).x_grid
+    grid = _eval_grid(cfg, x_default[0], x_default[-1], x_default.size)
+    weights = None if cfg.weight_kind is None else weight_function(cfg.weight_kind)
+    report = run_campaign(cfg.scenario_spec(), scheme, variants, cfg.n_rep,
+                          grid=grid, eta=cfg.eta, mm=cfg.mm,
+                          keep_auc=cfg.keep_auc, weights=weights)
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -250,9 +239,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path,
             writer.writerow([variant.value, report.n_rep, FMT % res.mean_mse,
                              FMT % res.mean_ks, res.n_nonconverged])
     if cfg.keep_auc:
-        from .models import default_grids
-
-        grid = default_grids(cfg.scenario)
         for variant in variants:
             res = report.variants[variant]
             path = out_dir / f"auc_{variant.value}.csv"
@@ -290,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI run configuration")
         p.add_argument("--seed", type=int, help="RNG seed override")
         p.add_argument("--variant", choices=[v.value for v in Variant])
-        p.add_argument("--model", choices=["linear", "exponential"])
+        p.add_argument("--model", choices=[f.value for f in Family])
         p.add_argument("--eta", type=float, help="cut-off floor (> 0)")
-        p.add_argument("--weights", choices=["hard", "smooth"])
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--weights", choices=[k.value for k in WeightKind])
+        p.add_argument("--out", help="output directory (default: [output] "
+                       "out_dir, else the current directory)")
 
     common(sub.add_parser("fit", help="fit both populations, report diagnostics"),
            dataset=True)
@@ -316,11 +303,7 @@ def _resolve_config(args) -> RunConfig:
     if args.eta is not None:
         overrides["eta"] = args.eta
     if args.weights is not None:
-        from .weighting import WeightKind
-
-        overrides["weight_kind"] = (WeightKind.HARD_REJECTION
-                                    if args.weights == "hard"
-                                    else WeightKind.SMOOTH_POLYNOMIAL)
+        overrides["weight_kind"] = WeightKind(args.weights)
     if args.out is not None:
         overrides["out_dir"] = Path(args.out)
     return replace(cfg, **overrides) if overrides else cfg

@@ -24,18 +24,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    family: Family = Family.LINEAR
+    """Settings of every command. A None family, weight_kind, x_min, x_max
+    or x_count takes the command's default: for `fit` and `roc` a linear
+    family, hard-rejection weights and 41 points over the observed covariate
+    range; for `simulate` those of its scenario (`run_campaign`)."""
+
+    family: Optional[Family] = None
     variant: Variant = Variant.ROBUST
     mm: MMConfig = field(default_factory=MMConfig)
     eta: float = 2.5
-    weight_kind: WeightKind = WeightKind.HARD_REJECTION
+    weight_kind: Optional[WeightKind] = None
     transform: Optional[MarkerTransform] = None
     p_min: float = 0.01
     p_max: float = 0.99
     p_count: int = 99
-    x_min: Optional[float] = None      # default: observed covariate range
+    x_min: Optional[float] = None
     x_max: Optional[float] = None
-    x_count: int = 41
+    x_count: Optional[int] = None
     out_dir: Path = Path(".")
     seed: int = 0
     # simulation campaign settings

@@ -28,6 +28,11 @@ class ScenarioKind(Enum):
     LINEAR = "linear"
     NONLINEAR = "nonlinear"
 
+    @property
+    def family(self) -> Family:
+        """Regression family of the scenario's true model."""
+        return Family.LINEAR if self is ScenarioKind.LINEAR else Family.EXPONENTIAL
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float, copy=True)
@@ -140,6 +145,14 @@ def exponential_spec() -> RegressionSpec:
         family=Family.EXPONENTIAL, coef_dim=2, eval=_eval, gradient=_grad,
         covariate_dim=1,
     )
+
+
+def family_spec(family: Family, p: int = 1) -> RegressionSpec:
+    """Spec of a family for p covariates: linear with an intercept, or
+    exponential in a scalar covariate."""
+    if family is Family.LINEAR:
+        return linear_spec(p, intercept=True)
+    return exponential_spec()
 
 
 @dataclass(frozen=True)

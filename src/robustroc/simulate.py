@@ -20,8 +20,7 @@ from .models import (
     RobustFit,
     ScenarioKind,
     default_grids,
-    exponential_spec,
-    linear_spec,
+    family_spec,
     standardized_residuals,
 )
 from .robust import (
@@ -255,9 +254,15 @@ def run_campaign(scenario: ScenarioSpec, contamination: ContaminationScheme,
                  variants: Iterable[Variant], n_rep: int,
                  grid: Optional[EvalGrid] = None, eta: float = 2.5,
                  mm: Optional[MMConfig] = None,
-                 keep_auc: bool = False) -> MetricsReport:
+                 keep_auc: bool = False,
+                 weights: Optional[WeightFunction] = None) -> MetricsReport:
     """Run n_rep replications: generate, fit every variant, score MSE/KS
-    against the closed-form true surface. Deterministic given scenario.seed."""
+    against the closed-form true surface. Deterministic given scenario.seed.
+
+    Every population is fitted in the family of the scenario's true model.
+    The defaults are the scenario's: `default_grids`, the default `MMConfig`,
+    and hard-rejection weights for the linear scenario, smooth ones for the
+    nonlinear scenario."""
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     contamination.validate_for(scenario.model)
@@ -271,40 +276,45 @@ def run_campaign(scenario: ScenarioSpec, contamination: ContaminationScheme,
                                  if keep_auc else None)
                for v in variants}
 
-    linear = scenario.model is ScenarioKind.LINEAR
-    spec = linear_spec(1, intercept=True) if linear else exponential_spec()
-    weights = hard_rejection() if linear else smooth_polynomial()
+    family = scenario.model.family
+    spec = family_spec(family)
+    if weights is None:
+        weights = hard_rejection() if family is Family.LINEAR else smooth_polynomial()
     if mm is None:
         mm = MMConfig()
 
     for rep in range(n_rep):
         rng = np.random.default_rng([scenario.seed, rep])
         samples = generate(scenario, contamination, rng)
-        mm_fits = None
+        mm_fits = []
         for variant in variants:
+            fits, dists = [], []
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateScaleWarning)
-                    if variant is Variant.CLASSICAL:
-                        fits = [fit_population(s, spec, variant, mm) for s in samples]
-                    else:
-                        if mm_fits is None:
+                    for i, sample in enumerate(samples):
+                        if variant is Variant.CLASSICAL:
+                            fit = fit_population(sample, spec, variant, mm)
+                        elif i < len(mm_fits):
+                            fit = mm_fits[i]
+                        else:
                             # one seed per population, D then H, drawn once so
                             # that robust and hybrid share these fits in any order
-                            mm_fits = [fit_population(
-                                s, spec, variant,
+                            fit = fit_population(
+                                sample, spec, variant,
                                 replace(mm, seed=int(rng.integers(2 ** 63))))
-                                for s in samples]
-                        fits = mm_fits
-                    g_d, g_h = [residual_distribution(s, fit, variant, weights, eta)
-                                for s, fit in zip(samples, fits)]
+                            mm_fits.append(fit)
+                        fits.append(fit)
+                        dists.append(residual_distribution(sample, fit, variant,
+                                                           weights, eta))
             except Exception as exc:
                 raise RuntimeError(
                     f"replication {rep} (seed [{scenario.seed}, {rep}]) failed for "
-                    f"variant {variant.value}: {exc}"
+                    f"variant {variant.value}, {sample.label.name.lower()} "
+                    f"population: {exc}"
                 ) from exc
-            model = ConditionalRocModel(fit_D=fits[0], fit_H=fits[1], gD_hat=g_d,
-                                        gH_hat=g_h, variant=variant)
+            model = ConditionalRocModel(fit_D=fits[0], fit_H=fits[1], gD_hat=dists[0],
+                                        gH_hat=dists[1], variant=variant)
             surf = roc_surface(model, grid)
             res = results[variant]
             res.mse[rep] = mse_metric(surf, truth)

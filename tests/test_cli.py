@@ -2,6 +2,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from robustroc import (
     make_synthetic_study,
     write_dataset,
 )
+from robustroc import config
 from robustroc.cli import main, read_surface_csv
 
 
@@ -323,18 +325,108 @@ class TestCmdSimulate:
         assert len(rows) == 3          # header + 2 replications
         assert len(rows[0]) == 42      # 'rep' + 41 x-grid columns
 
-    def test_unapplied_settings_rejected(self, tmp_path, capsys):
+    # A small campaign in which every setting matters: diseased_line changes
+    # the shift_diseased scheme only, and with seed 8 (not 5, say) a single
+    # elemental start or tol = 0.1 ends in other bits than the defaults do.
+    BASE = {"simulate": {"scenario": "linear", "n_rep": "1", "n_d": "30",
+                         "n_h": "30", "contamination": "shift_diseased",
+                         "delta": "0.1", "shift_s": "5"},
+            "output": {"seed": "8"}}
+    # (section, key) -> (a value off the base's, settings the key needs)
+    OFF_BASE = {
+        ("model", "family"): ("exponential", {}),
+        ("model", "transform"): ("neg_inv_sqrt", {}),
+        ("fit", "variant"): ("hybrid", {}),
+        ("fit", "rho_s_tuning"): ("2.5", {}),
+        ("fit", "rho_m_tuning"): ("3.5", {}),
+        ("fit", "breakdown_b"): ("0.3", {}),
+        ("fit", "n_subsamples"): ("1", {}),
+        ("fit", "max_iter"): ("1", {}),
+        ("fit", "tol"): ("0.1", {}),
+        ("weights", "eta"): ("1.5", {}),
+        ("weights", "kind"): ("smooth", {}),
+        ("grids", "p_min"): ("0.05", {}),
+        ("grids", "p_max"): ("0.95", {}),
+        ("grids", "p_count"): ("50", {}),
+        ("grids", "x_min"): ("-0.5", {}),
+        ("grids", "x_max"): ("0.5", {}),
+        ("grids", "x_count"): ("11", {}),
+        ("output", "out_dir"): ("elsewhere", {}),
+        ("output", "seed"): ("9", {}),
+        ("simulate", "scenario"): ("nonlinear", {"contamination": "none",
+                                                 "delta": "0", "shift_s": "0"}),
+        ("simulate", "n_d"): ("31", {}),
+        ("simulate", "n_h"): ("31", {}),
+        ("simulate", "n_rep"): ("2", {}),
+        ("simulate", "contamination"): ("shift_both", {}),
+        ("simulate", "delta"): ("0.2", {}),
+        ("simulate", "shift_s"): ("10", {}),
+        ("simulate", "diseased_line"): ("true", {}),
+        ("simulate", "keep_auc"): ("true", {}),
+    }
+    REJECTED = {("model", "family"), ("model", "transform")}
+
+    @staticmethod
+    def _outputs(run_dir, sections, monkeypatch, capsys):
+        """Run simulate from run_dir with these INI sections and no --out, and
+        return its exit code, its error text and the report files written to
+        the working directory."""
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        Path("run.ini").write_text("".join(f"[{section}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in entries.items())
+            for section, entries in sections.items()))
+        code = _run(["simulate", "--config", "run.ini"])
+        files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())
+                 if path.name == "metrics.csv" or path.name.startswith("auc_")}
+        return code, capsys.readouterr().err, files
+
+    @pytest.mark.parametrize("section,key", [(section, key)
+                                             for section in config._SCHEMA
+                                             for key in config._SCHEMA[section]])
+    def test_every_config_key_applied_or_rejected(self, tmp_path, monkeypatch,
+                                                  capsys, section, key):
+        # each key moved off the base either changes the reports or fails
+        # with exit 1 naming the key: none is dropped silently
+        value, needs = self.OFF_BASE[(section, key)]
+        base = {name: dict(entries) for name, entries in self.BASE.items()}
+        base["simulate"].update(needs)
+        changed = {name: dict(entries) for name, entries in base.items()}
+        changed.setdefault(section, {})[key] = value
+        code, _, before = self._outputs(tmp_path / "base", base,
+                                        monkeypatch, capsys)
+        assert code == 0 and "metrics.csv" in before
+        code, err, after = self._outputs(tmp_path / "changed", changed,
+                                         monkeypatch, capsys)
+        if (section, key) in self.REJECTED:
+            assert code == 1
+            assert f"[{section}] {key}" in err
+            assert not after
+        else:
+            assert code == 0
+            assert after != before
+        if key == "out_dir":
+            assert (tmp_path / "changed" / value / "metrics.csv").exists()
+
+    def test_variant_flag_adds_its_row(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text(self.INI + "[fit]\nn_subsamples = 1\n[grids]\np_count = 5\n")
-        code = _run(["simulate", "--config", ini, "--variant", "classical",
-                     "--model", "exponential", "--weights", "smooth",
-                     "--out", tmp_path])
-        assert code == 1
-        err = capsys.readouterr().err
-        for name in ("[fit] n_subsamples", "[grids] p_count", "[fit] variant",
-                     "[model] family", "[weights] kind"):
-            assert name in err
-        assert not (tmp_path / "metrics.csv").exists()
+        ini.write_text("[simulate]\nn_rep = 1\nn_d = 30\nn_h = 30\n")
+        assert _run(["simulate", "--config", ini, "--variant", "hybrid",
+                     "--out", tmp_path]) == 0
+        with open(tmp_path / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["variant"] for r in rows] == ["classical", "hybrid"]
+
+    def test_model_flag_must_match_scenario(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\nscenario = nonlinear\nn_rep = 1\n"
+                       "n_d = 30\nn_h = 30\n")
+        assert _run(["simulate", "--config", ini, "--model", "exponential",
+                     "--out", tmp_path]) == 0
+        assert _run(["simulate", "--config", ini, "--model", "linear",
+                     "--out", tmp_path / "linear"]) == 1
+        assert "[model] family" in capsys.readouterr().err
+        assert not (tmp_path / "linear" / "metrics.csv").exists()
 
     def test_settings_at_their_defaults_accepted(self, tmp_path):
         # the README's INI example names default values only

@@ -7,15 +7,18 @@ from robustroc import (
     ContaminationKind,
     ContaminationScheme,
     EvalGrid,
+    Group,
     RocSurface,
     ScenarioKind,
     ScenarioSpec,
     Variant,
     default_grids,
     generate,
+    hard_rejection,
     ks_metric,
     mse_metric,
     run_campaign,
+    smooth_polynomial,
     true_surface,
 )
 
@@ -212,3 +215,35 @@ class TestRunCampaign:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="n_rep"):
             run_campaign(LIN, ContaminationScheme(), [Variant.ROBUST], 0)
+
+    @pytest.mark.parametrize("failing", [Group.DISEASED, Group.HEALTHY])
+    @pytest.mark.parametrize("variant", [Variant.CLASSICAL, Variant.ROBUST])
+    def test_failure_names_population(self, monkeypatch, failing, variant):
+        from robustroc import simulate
+
+        real = simulate.fit_population
+
+        def fit_population(sample, *args):
+            if sample.label is failing:
+                raise ValueError("injected failure")
+            return real(sample, *args)
+
+        monkeypatch.setattr(simulate, "fit_population", fit_population)
+        population = failing.name.lower()
+        with pytest.raises(RuntimeError,
+                           match=rf"replication 0 \(seed \[0, 0\]\) failed for "
+                                 rf"variant {variant.value}, {population} "
+                                 rf"population: injected failure"):
+            run_campaign(LIN, ContaminationScheme(), [variant], n_rep=1)
+
+    def test_weights_default_to_the_scenarios(self):
+        # hard rejection for the linear scenario, smooth for the nonlinear one
+        shifted = ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, 0.05, 10.0)
+        for scenario, scheme, default, other in (
+                (LIN, ContaminationScheme(), hard_rejection(), smooth_polynomial()),
+                (NONLIN, shifted, smooth_polynomial(), hard_rejection())):
+            runs = [run_campaign(scenario, scheme, [Variant.ROBUST], n_rep=2,
+                                 weights=weights).variants[Variant.ROBUST].mse
+                    for weights in (None, default, other)]
+            assert np.array_equal(runs[0], runs[1])
+            assert not np.array_equal(runs[0], runs[2])
