@@ -226,11 +226,14 @@ def _scale_floor(y: np.ndarray) -> float:
     return 1e-10 * float(np.max(np.abs(y)))
 
 
-def _check_identifiable(n: int, q: int, X: Optional[np.ndarray] = None) -> None:
-    """The identifiability check of every fit: n > q, and X of full rank."""
+def _check_identifiable(n: int, q: int, rank: Optional[int] = None) -> None:
+    """The identifiability check of every fit: n > q, and, when a design's
+    rank is given, a rank of q. Fits take the rank of the design with its
+    columns scaled by `_equilibrate`, so that it does not depend on the
+    units of the covariates."""
     if n <= q:
         raise ValueError(f"need more than q = {q} observations, got {n}")
-    if X is not None and np.linalg.matrix_rank(X) < q:
+    if rank is not None and rank < q:
         raise ValueError("rank-deficient design matrix")
 
 
@@ -377,15 +380,16 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     The candidates are n_subsamples elemental subsets of q observations
     (`_elemental_subsets`), each solved exactly; a subset whose determinant
     is small relative to the column scales of X is singular and drops out.
-    Every stop is relative to the current scale, so the fit does not depend
-    on the units of x. Raises ValueError when n <= q, when X is
-    rank-deficient, and when every drawn subset is singular.
+    Every stop is relative to the current scale, and the rank of X is taken
+    with its columns scaled, so the fit does not depend on the units of x.
+    Raises ValueError when n <= q, when X is rank-deficient, and when every
+    drawn subset is singular.
     """
     spec = linear_spec(sample.p, intercept)
     X = design_matrix(sample.x, intercept)
     y = sample.y
     n, q = X.shape
-    _check_identifiable(n, q, X)
+    _check_identifiable(n, q, np.linalg.matrix_rank(_equilibrate(X)[0]))
 
     rng = np.random.default_rng(cfg.seed)
     idx = _elemental_subsets(n, q, cfg.n_subsamples, rng)
@@ -470,7 +474,8 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
     deviation with denominator n - q (from r / max|r|, so it cannot
     overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
 
-    A linear fit is one direct `lstsq`. A nonlinear fit is the unit-weight
+    A linear fit is one direct `lstsq` on the design with its columns
+    scaled by `_equilibrate`, which also gives the rank. A nonlinear fit is the unit-weight
     case of `_descend`, with the default `MMConfig` tol and max_iter; an
     exponential one starts from `_initial_beta_exponential` unless beta_init
     is given, and other families need beta_init. Raises ValueError when
@@ -478,15 +483,17 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
     """
     x, y = sample.x, sample.y
     n, q = sample.n, spec.coef_dim
-    linear = spec.family is Family.LINEAR
-    X = design_matrix(x, spec.intercept) if linear else None
-    _check_identifiable(n, q, X)
     floor = _scale_floor(y)
-    if linear:
-        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    if spec.family is Family.LINEAR:
+        X = design_matrix(x, spec.intercept)
+        A, d = _equilibrate(X)
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        _check_identifiable(n, q, rank)
+        beta = beta / d
         r = y - X @ beta
         converged, iters = True, 1
     else:
+        _check_identifiable(n, q)
         if beta_init is None and spec.family is Family.EXPONENTIAL:
             beta_init = _initial_beta_exponential(sample)
         if spec.gradient is None or beta_init is None:

@@ -84,6 +84,16 @@ class TestExitCodes:
             assert _run(["roc", path, "--variant", variant, "--out", tmp_path]) == 0
         assert "Warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["robust", "classical"])
+    def test_extreme_covariate_units(self, tmp_path, variant):
+        # the rank of the design is taken with its columns scaled; on the raw
+        # design both groups were rank-deficient at x * 1e14
+        d, h = generate(ScenarioSpec(ScenarioKind.LINEAR, 100, 100, seed=1))
+        path = tmp_path / "scaled.csv"
+        write_dataset(path, *(PopulationSample(s.label, s.y, 1e14 * s.x)
+                              for s in (d, h)))
+        assert _run(["roc", path, "--variant", variant, "--out", tmp_path]) == 0
+
     def test_exponential_too_few_observations(self, tmp_path):
         # two diseased observations cannot support the two-parameter MM fit
         path = tmp_path / "tiny.csv"

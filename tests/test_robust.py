@@ -971,3 +971,25 @@ class TestDescent:
         assert not scaled.degenerate_scale
         assert scaled.sigma_hat / 1e-11 == pytest.approx(unit.sigma_hat, rel=1e-9)
         assert scaled.beta_hat[0] / 1e-11 == pytest.approx(unit.beta_hat[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("fit", ["mm_linear", "ls_linear"])
+@pytest.mark.parametrize("scale, shift", [(1e14, 0.0), (1e-14, 0.0), (1.0, 1e8)])
+def test_rank_does_not_depend_on_covariate_units(fit, scale, shift):
+    # the rank is taken on the design with its columns scaled: on the raw
+    # design these three fits raised "rank-deficient design matrix"
+    sample, _ = generate(ScenarioSpec(ScenarioKind.LINEAR, seed=1))
+    moved = PopulationSample(sample.label, sample.y, sample.x * scale + shift)
+    if fit == "mm_linear":
+        unit, fitted = [fit_mm_linear(s, True, MMConfig(seed=1))
+                        for s in (sample, moved)]
+    else:
+        unit, fitted = [fit_least_squares(s, linear_spec(1)) for s in (sample, moved)]
+    if shift == 0.0:
+        assert fitted.beta_hat[0] == pytest.approx(unit.beta_hat[0], rel=1e-13)
+        assert fitted.beta_hat[1] * scale == pytest.approx(unit.beta_hat[1],
+                                                           rel=1e-13)
+        assert fitted.sigma_hat == pytest.approx(unit.sigma_hat, rel=1e-13)
+    else:
+        # x + 1e8 loses about 8 digits to conditioning
+        assert fitted.sigma_hat == pytest.approx(unit.sigma_hat, rel=1e-7)
