@@ -227,10 +227,9 @@ def _scale_floor(y: np.ndarray) -> float:
 
 
 def _check_identifiable(n: int, q: int, rank: Optional[int] = None) -> None:
-    """The identifiability check of every fit: n > q, and, when a design's
-    rank is given, a rank of q. Fits take the rank of the design with its
-    columns scaled by `_equilibrate`, so that it does not depend on the
-    units of the covariates."""
+    """The identifiability check of every fit: n > q, and full rank when the
+    rank of the design is given (taken with its columns scaled by
+    `_equilibrate`, so that it does not depend on the units of x)."""
     if n <= q:
         raise ValueError(f"need more than q = {q} observations, got {n}")
     if rank is not None and rank < q:
@@ -475,11 +474,11 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
     overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
 
     A linear fit is one direct `lstsq` on the design with its columns
-    scaled by `_equilibrate`, which also gives the rank. A nonlinear fit is the unit-weight
-    case of `_descend`, with the default `MMConfig` tol and max_iter; an
-    exponential one starts from `_initial_beta_exponential` unless beta_init
-    is given, and other families need beta_init. Raises ValueError when
-    n <= q and when a linear design is rank-deficient.
+    scaled by `_equilibrate`, which also gives the rank. A nonlinear fit is
+    the unit-weight case of `_descend`, with the default `MMConfig` tol and
+    max_iter; an exponential one starts from `_initial_beta_exponential`
+    unless beta_init is given, and other families need beta_init. Raises
+    ValueError when n <= q and when a linear design is rank-deficient.
     """
     x, y = sample.x, sample.y
     n, q = sample.n, spec.coef_dim

@@ -258,11 +258,8 @@ def run_campaign(scenario: ScenarioSpec, contamination: ContaminationScheme,
                  weights: Optional[WeightFunction] = None) -> MetricsReport:
     """Run n_rep replications: generate, fit every variant, score MSE/KS
     against the closed-form true surface. Deterministic given scenario.seed.
-
-    Every population is fitted in the family of the scenario's true model.
-    The defaults are the scenario's: `default_grids`, the default `MMConfig`,
-    and hard-rejection weights for the linear scenario, smooth ones for the
-    nonlinear scenario."""
+    The fits use the family of the scenario's model; the default weights are
+    hard rejection for the linear scenario and smooth for the nonlinear one."""
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     contamination.validate_for(scenario.model)
