@@ -164,6 +164,9 @@ def read_surface_csv(path) -> RocSurface:
 
 def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Fit, build the plug-in ROC surface and AUC curve, and export them."""
+    if cfg.p_count < 2:
+        raise UsageError(f"[grids] p_count must be at least 2 for roc, whose AUC "
+                         f"curve needs two p points, found {cfg.p_count}")
     cfg = _dataset_config(cfg)
     diseased, healthy = _load_samples(dataset, cfg)
     spec = family_spec(cfg.family, diseased.p)

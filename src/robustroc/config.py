@@ -5,6 +5,7 @@ Unknown sections or keys are rejected so that typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -55,9 +56,27 @@ class RunConfig:
     keep_auc: bool = False
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError(f"eta ([weights] eta, --eta) must be positive, "
-                              f"found {self.eta!r}")
+        # each test is written so that NaN fails it
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta ([weights] eta, --eta) must be positive and "
+                              f"finite, found {self.eta!r}")
+        for key, attr in (("n_d", "n_D"), ("n_h", "n_H"), ("n_rep", "n_rep")):
+            if getattr(self, attr) < 1:
+                raise ConfigError(f"[simulate] {key} must be at least 1, "
+                                  f"found {getattr(self, attr)!r}")
+        if not 0 < self.p_min < self.p_max < 1:
+            raise ConfigError(f"[grids] p_min = {self.p_min!r} and [grids] p_max = "
+                              f"{self.p_max!r} must satisfy 0 < p_min < p_max < 1")
+        if self.p_count < 1 or (self.keep_auc and self.p_count < 2):
+            raise ConfigError(f"[grids] p_count must be at least 1, and at least "
+                              f"2 with [simulate] keep_auc, found {self.p_count!r}")
+        if self.x_count is not None and self.x_count < 1:
+            raise ConfigError(f"[grids] x_count must be at least 1, "
+                              f"found {self.x_count!r}")
+        for key in ("x_min", "x_max"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"[grids] {key} must be finite, found {value!r}")
 
     def scenario_spec(self) -> ScenarioSpec:
         return ScenarioSpec(model=self.scenario, n_D=self.n_D, n_H=self.n_H,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,13 +22,17 @@ from .models import (
 _SCALE_RTOL = 1e-10    # relative Newton step at which an M-scale solve stops
 _SCALE_GROWTH = 1e3    # largest factor by which one solver step moves a scale
 _SCALE_MAX_STEPS = 200  # solver steps before a scale is returned as it stands
-_SCREEN_SEEDS = 5      # candidates solved first to set the screening scale s*
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
 # largest |residual| that leaves a scale solve room for one growth step
 _MAX_ABS_RESIDUAL = np.finfo(float).max / _SCALE_GROWTH
 # a criterion that rises by at most this relative amount has moved by rounding
 _OBJECTIVE_ROUNDING = 16 * np.finfo(float).eps
 _HALVINGS = 12         # step halvings tried before a descent gives up
+# a 2 x 2 Gram matrix with det G <= this * g11 * g22 is left to `lstsq`
+_COLLINEAR = 1e-6
+# diagonal of a 2 x 2 Gram matrix whose normal equations lose no precision
+# to subnormal or overflowing products
+_GRAM_RANGE = (1e-150, 1e150)
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -86,7 +90,9 @@ def _scale_start(R: np.ndarray, b: float) -> np.ndarray:
     b of the row is nonzero. For b = 0.5 it is the (lower) median."""
     n = R.shape[1]
     k = math.ceil(n * (1.0 - b)) - 1
-    return np.partition(np.abs(R), k, axis=1)[:, k]
+    A = np.abs(R)
+    A.partition(k, axis=1)
+    return A[:, k]
 
 
 def _m_scale_rows(R: np.ndarray, c: float, b: float, s0=None) -> np.ndarray:
@@ -175,9 +181,10 @@ def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
                       DegenerateScaleWarning)
         return 0.0
     if np.isnan(r).any():
-        raise ValueError("The function value at x=nan is NaN; solver cannot continue.")
+        raise ValueError("residuals contain NaN: the M-scale is undefined")
     if np.count_nonzero(np.isinf(r)) / n >= b:
-        raise ValueError("The function value at x=inf is NaN; solver cannot continue.")
+        raise ValueError(f"at least a fraction b = {b} of the residuals is "
+                         f"infinite: the M-scale is infinite")
     return float(_m_scale_rows(r[None, :], c, b)[0])
 
 
@@ -186,17 +193,34 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     the smallest `_m_scale_rows` scale, and that scale, solving only the rows
     that pass the screen of Salibian-Barrera & Yohai (2006): mean rho(r/s)
     decreases in s, so a row whose mean rho(r/s*) exceeds b cannot win. The
-    rows with the smallest `_scale_start` set s*, widened by a relative 1e-9
+    row with the smallest `_scale_start` sets s*, widened by a relative 1e-9
     plus the solver's tolerance, and rows are solved independently, so the
-    result is bit-identical to solving every row."""
+    result is bit-identical to solving every row. A row whose start is at
+    least c s* has rho(r/s*) = 1 on more than a fraction b of its entries,
+    so it is dropped before the mean rho is taken. A row whose start is 0
+    (at most a fraction b of nonzero residuals) fits the majority exactly:
+    its scale is 0, below every other, and the first such row wins."""
     start = _scale_start(R, b)
-    seeds = np.argsort(start)[:_SCREEN_SEEDS]
-    s_star = float(np.min(_m_scale_rows(R[seeds], c, b, start[seeds])))
+    exact = np.flatnonzero(start == 0.0)
+    if exact.size:
+        return int(exact[0]), 0.0
+    seed = int(np.argmin(start))
+    s_star = _m_scale_row(R[seed], float(start[seed]), c, b)
     if np.isfinite(s_star):
-        cut = s_star * (1.0 + _SCREEN_SLACK + _SCALE_RTOL)
-        with np.errstate(over="ignore"):     # a huge |r| / cut squares to inf
-            keep = np.mean(bisquare_rho(R / cut, c), axis=1) <= b
-        keep[seeds] = True     # never empty, whatever the rounding
+        cs = c * s_star * (1.0 + _SCREEN_SLACK + _SCALE_RTOL)
+        keep = start < cs
+        rows = np.flatnonzero(keep)
+        # mean rho(r/s*) <= b, written as mean (1 - min(z, 1))^3 >= 1 - b with
+        # z = (r / c s*)^2, in one buffer; a huge |r| / cs squares to inf
+        z = np.divide(R[rows], cs)
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
+        np.minimum(z, 1.0, out=z)
+        np.subtract(1.0, z, out=z)
+        w3 = z * z
+        w3 *= z
+        keep[rows] = np.add.reduce(w3, axis=1) >= (1.0 - b) * R.shape[1]
+        keep[seed] = True      # never empty, whatever the rounding
         rows = np.flatnonzero(keep)
     else:
         rows = np.arange(R.shape[0])
@@ -222,8 +246,12 @@ def _elemental_subsets(n: int, q: int, m: int,
 
 
 def _scale_floor(y: np.ndarray) -> float:
-    """Scale at or below which a fit of y is (numerically) exact, in y's units."""
-    return 1e-10 * float(np.max(np.abs(y)))
+    """Scale at or below which a fit of y is (numerically) exact, in y's
+    units: 1e-10 times the median |y| (`_scale_start` at b = 0.5). The
+    rounding of a residual grows with the size of y, not with its spread,
+    and a median, like the S-scale, ignores up to half of the points, so no
+    single outlier lifts the floor."""
+    return 1e-10 * float(_scale_start(y[None, :], 0.5)[0])
 
 
 def _check_identifiable(n: int, q: int, rank: Optional[int] = None) -> None:
@@ -250,6 +278,30 @@ def _equilibrate(J: np.ndarray):
     of `lstsq` no longer depends on the units of the coefficients."""
     d = np.ldexp(1.0, np.frexp(np.max(np.abs(J), axis=0))[1])
     return J / d, d
+
+
+def _weighted_step(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solution of A step = rhs, which does not depend on the
+    units of A's columns. Two columns that are far from collinear (det G >
+    `_COLLINEAR` g11 g22 for G = A'A), with g11 and g22 inside `_GRAM_RANGE`,
+    are solved by the normal equations in closed form, from one A'[A, rhs]
+    product; scaling a column by a power of 2 scales these results exactly.
+    Other columns are scaled by `_equilibrate` and take `lstsq`, whose SVD
+    does not square the condition number, as does a closed form that
+    overflows."""
+    if A.shape[1] == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = A.T @ np.column_stack([A, rhs])
+        # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
+        (g11, g12, h1), (_, g22, h2) = G.tolist()
+        lo, hi = _GRAM_RANGE
+        det = g11 * g22 - g12 * g12
+        if lo < g11 < hi and lo < g22 < hi and det > _COLLINEAR * g11 * g22:
+            step = ((g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det)
+            if math.isfinite(step[0]) and math.isfinite(step[1]):
+                return np.array(step)
+    A, d = _equilibrate(A)
+    return np.linalg.lstsq(A, rhs, rcond=None)[0] / d
 
 
 def _one_step_scale(c: float, b: float):
@@ -288,34 +340,34 @@ def _least_squares(r, _):
     return rms, np.ones(r.size), rms
 
 
-def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor):
+def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor,
+             stop_on_fall=False):
     """Reweighted Gauss-Newton descent of a criterion from beta, whose
     residuals are r = y - f(beta): the one loop of every iterative fit.
 
     J is the Jacobian df/dbeta: an array when it is constant (the design
     matrix of a linear fit), else a function of beta. state is (value,
     weights, unit) at beta, and criterion(r, value) gives the state at
-    residuals r. Each step fits J, its columns scaled by `_equilibrate`, to
-    the current residuals by weighted least squares. It is halved while it
-    raises the value by more than rounding (relative `_OBJECTIVE_ROUNDING`)
-    or makes a residual non-finite. The descent converges when an accepted
-    step moves the fitted values by less than tol * unit, or when the unit
-    is at most floor (an exact fit). It gives up after max_iter steps, or
-    when `_HALVINGS` halvings leave the value rising.
+    residuals r. Each step fits J to the current residuals by weighted
+    least squares (`_weighted_step`). It is halved while it raises the value
+    by more than rounding (relative `_OBJECTIVE_ROUNDING`) or makes a
+    residual non-finite. The descent converges when an accepted step moves
+    the fitted values by less than tol * unit, with stop_on_fall also when
+    it lowers the value by less than tol * unit, or when the unit is at most
+    floor (an exact fit). It gives up after max_iter steps, or when
+    `_HALVINGS` halvings leave the value rising.
 
     Returns beta, its residuals, the value there, the step count and whether
     the descent converged.
     """
     value, w, unit = state
     steps = 0
-    if not callable(J):
-        J, d = _equilibrate(J)
     with np.errstate(over="ignore", invalid="ignore"):
         while steps < max_iter and unit > floor:
             steps += 1
             sw = np.sqrt(w)
-            A, d = _equilibrate(J(beta)) if callable(J) else (J, d)
-            step = np.linalg.lstsq(A * sw[:, None], r * sw, rcond=None)[0] / d
+            A = J(beta) if callable(J) else J
+            step = _weighted_step(A * sw[:, None], r * sw)
             bound = value * (1.0 + _OBJECTIVE_ROUNDING)
             for _ in range(_HALVINGS):
                 cand = beta + step
@@ -327,8 +379,9 @@ def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor):
                 step = step / 2.0
             else:
                 return beta, r, value, steps, False
+            fall = value - trial[0] if stop_on_fall else np.inf
             beta, r, (value, w, unit) = cand, r_cand, trial
-            if moved < tol * unit:
+            if moved < tol * unit or fall < tol * unit:
                 return beta, r, value, steps, True
     return beta, r, value, steps, unit <= floor
 
@@ -336,8 +389,9 @@ def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor):
 def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
     """The MM stages of both families, from elemental candidates betas (k, q)
     with residuals R (k, n), and f and J as in `_descend`. The S-stage
-    descends the one-step scale from the screened winner, and one solve
-    warm-started at its last value gives sigma. The M-stage descends mean
+    descends the one-step scale from the screened winner until a step also
+    barely lowers it (sigma is stationary in beta at the S-minimum), and one
+    solve warm-started at its last value gives sigma. The M-stage descends mean
     rho_M(r / sigma), and its stop is the fit's `converged`; `iterations`
     counts the steps of both. A scale that is not finite or at most
     `_scale_floor(y)` marks an exact fit, returned degenerate with sigma 0
@@ -350,9 +404,11 @@ def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
     if np.isfinite(s) and s > floor:
         # residuals afresh, since the row of R comes from another computation
         r = y - f(beta)
+        with np.errstate(over="ignore"):     # a gross |r| / s squares to inf
+            w = bisquare_weight(r / s, c)
         beta, r, s, steps, _ = _descend(
-            y, f, J, beta, r, _one_step_scale(c, b),
-            (s, bisquare_weight(r / s, c), s), cfg.tol, cfg.max_iter, floor)
+            y, f, J, beta, r, _one_step_scale(c, b), (s, w, s), cfg.tol,
+            cfg.max_iter, floor, stop_on_fall=True)
         s = _m_scale_row(r, s, c, b)
     if not np.isfinite(s) or s <= floor:
         warnings.warn(f"degenerate M-scale in {method.value} fit",
@@ -360,8 +416,10 @@ def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
         return RobustFit(spec=spec, beta_hat=beta, sigma_hat=0.0, method=method,
                          converged=True, iterations=steps, degenerate_scale=True)
     m_stage = _m_objective(s, cfg.rho_m_tuning)
+    with np.errstate(over="ignore"):
+        state = m_stage(r, None)
     beta, _, _, m_steps, converged = _descend(
-        y, f, J, beta, r, m_stage, m_stage(r, None), cfg.tol, cfg.max_iter, floor)
+        y, f, J, beta, r, m_stage, state, cfg.tol, cfg.max_iter, floor)
     return RobustFit(spec=spec, beta_hat=beta, sigma_hat=s, method=method,
                      converged=converged, iterations=steps + m_steps)
 
@@ -370,6 +428,15 @@ def _curve(spec: RegressionSpec, x: np.ndarray):
     """f and J of `_descend` for a nonlinear family at the covariates x."""
     return (lambda beta: spec.predict(x, beta),
             lambda beta: np.asarray(spec.gradient(x, beta), dtype=float))
+
+
+def _shift_exponential(beta: np.ndarray, a: float) -> np.ndarray:
+    """(b1, b2) of the curve b1 exp(b2 (x - a)) written as b1' exp(b2 x):
+    b1' = b1 exp(-b2 a). The exponential fits run in the centred covariate
+    x - mean(x), where the Jacobian's columns e^{b2 x} and b1 x e^{b2 x} are
+    far from collinear, and map their coefficients back with a = mean(x)."""
+    with np.errstate(over="ignore"):
+        return np.array([beta[0] * np.exp(-beta[1] * a), beta[1]])
 
 
 def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> RobustFit:
@@ -430,7 +497,8 @@ def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
 def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
                      cfg: MMConfig) -> RobustFit:
     """Nonlinear MM fit of the exponential family y = b1 * exp(b2 * x): the
-    MM stages of `_fit_mm`, as for a linear fit, with J = df/dbeta.
+    MM stages of `_fit_mm`, as for a linear fit, with J = df/dbeta, in the
+    centred covariate (`_shift_exponential`).
 
     The candidates come from elemental subsets, as for nonlinear S-estimators
     (Stromberg 1993; Maronna, Martin, Yohai & Salibian-Barrera 2019): each of
@@ -448,11 +516,14 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
     if np.all(x == x[0]):
         raise ValueError("constant covariate: the exponential curve is not identified")
 
+    x_bar = float(np.mean(x))
+    x = x - x_bar
     rng = np.random.default_rng(cfg.seed)
     betas, R, _ = _exponential_pairs(x[:, 0], y, cfg.n_subsamples, rng)
     if betas.shape[0] == 0:
         raise ValueError("no elemental pair has a finite exact fit")
-    return _fit_mm(y, *_curve(spec, x), betas, R, spec, FitMethod.MM_NONLINEAR, cfg)
+    fit = _fit_mm(y, *_curve(spec, x), betas, R, spec, FitMethod.MM_NONLINEAR, cfg)
+    return replace(fit, beta_hat=_shift_exponential(fit.beta_hat, x_bar))
 
 
 def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
@@ -475,9 +546,9 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
 
     A linear fit is one direct `lstsq` on the design with its columns
     scaled by `_equilibrate`, which also gives the rank. A nonlinear fit is
-    the unit-weight case of `_descend`, with the default `MMConfig` tol and
-    max_iter; an exponential one starts from `_initial_beta_exponential`
-    unless beta_init is given, and other families need beta_init. Raises
+    the unit-weight case of `_descend` in the centred covariate, as for the
+    MM fit, with the default `MMConfig` tol and max_iter, started from
+    `_initial_beta_exponential` unless beta_init is given. Raises
     ValueError when n <= q and when a linear design is rank-deficient.
     """
     x, y = sample.x, sample.y
@@ -497,12 +568,14 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
             beta_init = _initial_beta_exponential(sample)
         if spec.gradient is None or beta_init is None:
             raise ValueError("nonlinear least squares needs a gradient and beta_init")
-        f, J = _curve(spec, x)
-        beta = np.asarray(beta_init, dtype=float)
+        x_bar = float(np.mean(x))
+        f, J = _curve(spec, x - x_bar)
+        beta = _shift_exponential(np.asarray(beta_init, dtype=float), -x_bar)
         r = y - f(beta)
         beta, r, _, iters, converged = _descend(
             y, f, J, beta, r, _least_squares, _least_squares(r, None),
             MMConfig.tol, MMConfig.max_iter, floor)
+        beta = _shift_exponential(beta, x_bar)
     sigma = _root_mean_square(r, n - q)
     if sigma <= floor:
         sigma = 0.0  # numerically exact fit

@@ -73,8 +73,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("scale", [1e-12, 1e300])
     @pytest.mark.parametrize("variant", ["robust", "classical"])
     def test_extreme_marker_units(self, tmp_path, capsys, scale, variant):
-        # the degenerate-scale floor is relative to max|y|, and the classical
-        # scale is computed from r / max|r|, so neither units exit 2 or warn
+        # the degenerate-scale floor is relative to median|y|, and the
+        # classical scale is computed from r / max|r|, so neither units exit 2
+        # or warn
         d, h = generate(ScenarioSpec(ScenarioKind.LINEAR, 30, 30, seed=3))
         path = tmp_path / "scaled.csv"
         write_dataset(path, *(PopulationSample(s.label, scale * s.y, s.x)
@@ -82,6 +83,21 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run(["roc", path, "--variant", variant, "--out", tmp_path]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["robust", "hybrid", "classical"])
+    def test_one_gross_marker_fits(self, tmp_path, capsys, variant):
+        # one healthy marker at 1e13 lifted the old floor, 1e-10 max|y|,
+        # above the MM scale: robust and hybrid exited 2 on a degenerate scale
+        study = make_synthetic_study(seed=9)
+        y = study.healthy.y.copy()
+        y[0] = 1e13
+        path = tmp_path / "gross.csv"
+        write_dataset(path, study.diseased,
+                      PopulationSample(Group.HEALTHY, y, study.healthy.x))
+        assert _run(["roc", path, "--variant", variant, "--out", tmp_path]) == 0
+        meta = json.loads((tmp_path / "roc_meta.json").read_text())
+        assert meta["healthy"]["sigma_hat"] > 0
         assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("variant", ["robust", "classical"])
@@ -135,6 +151,15 @@ class TestExitCodes:
         data = _clean_dataset(tmp_path, n=20)
         assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 1
         assert "robustroc: error: [fit] max_iter" in capsys.readouterr().err
+
+    def test_single_p_point_is_a_config_error_for_roc(self, tmp_path, capsys):
+        # roc always writes the AUC curve, which needs two p points
+        ini = tmp_path / "run.ini"
+        ini.write_text("[grids]\np_count = 1\n")
+        data = _clean_dataset(tmp_path, n=20)
+        assert _run(["roc", data, "--config", ini, "--out", tmp_path]) == 1
+        assert "robustroc: error: [grids] p_count" in capsys.readouterr().err
+        assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 0
 
     def test_success(self, tmp_path):
         data = _clean_dataset(tmp_path, n=50)
@@ -449,6 +474,39 @@ class TestCmdSimulate:
                      "--model", "linear", "--weights", "hard",
                      "--out", tmp_path]) == 0
         assert (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("simulate", "n_rep", "0"),
+        ("simulate", "n_rep", "-3"),
+        ("simulate", "n_d", "0"),
+        ("simulate", "n_h", "-1"),
+        ("grids", "p_count", "1"),           # with keep_auc below
+        ("grids", "p_count", "0"),
+        ("grids", "x_count", "0"),
+        ("grids", "p_min", "0.99"),           # the default p_max
+        ("grids", "p_max", "0.005"),          # below the default p_min
+        ("grids", "p_min", "nan"),
+        ("grids", "x_min", "nan"),
+        ("grids", "x_max", "inf"),
+        ("weights", "eta", "inf"),
+        ("weights", "eta", "nan"),
+    ])
+    def test_invalid_settings_are_config_errors(self, tmp_path, capsys,
+                                                section, key, value):
+        # each used to reach numpy and exit 2 as a numerical failure, or
+        # (eta = inf) to be accepted
+        sections = {"simulate": {"n_rep": "1", "n_d": "30", "n_h": "30",
+                                 "keep_auc": "true"}}
+        sections.setdefault(section, {})[key] = value
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(f"[{name}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in sections.items()))
+        assert _run(["simulate", "--config", ini, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_invalid_scheme_rejected_at_parse_time(self, tmp_path):
         ini = tmp_path / "run.ini"

@@ -182,6 +182,43 @@ class TestFitMMLinear:
                             intercept=True, cfg=CFG)
         assert np.max(np.abs(bad.beta_hat - clean.beta_hat)) < 1.0
 
+    @pytest.mark.parametrize("big", [1e10, 1e13, 1e300, -1e300])
+    def test_one_gross_outlier_leaves_the_scale(self, big):
+        # the floor is relative to the median |y|: one gross marker cannot
+        # lift it above sigma (at 1e-10 max|y| the fit returned sigma = 0)
+        s, x, y = _linear_sample(0)
+        ref, fits = [], []
+        for value in (1e3, big):
+            y_bad = y.copy()
+            y_bad[0] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fits.append(fit_mm_linear(PopulationSample(Group.HEALTHY, y_bad, x),
+                                          intercept=True, cfg=MMConfig(seed=1)))
+        moderate, gross = fits
+        assert not gross.degenerate_scale
+        assert gross.sigma_hat == pytest.approx(moderate.sigma_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("outliers", [1, 20, 45])
+    @pytest.mark.parametrize("family", ["linear", "exponential"])
+    def test_exact_majority_still_degenerate(self, family, outliers):
+        # more than half of the points exactly on the curve: degenerate,
+        # however gross the rest, for the MM fit (a candidate whose residuals
+        # are zero on the majority has scale 0 and wins; ranked +inf, it lost
+        # to a candidate through outliers at 20 and 45 of them); and for least
+        # squares when all are on a line
+        x = np.linspace(-1.0, 1.0, 100)
+        y = 1 + 2 * x if family == "linear" else 5.0 * np.exp(2.0 * x)
+        y[:outliers] = 1e10
+        sample = PopulationSample(Group.HEALTHY, y, x)
+        with pytest.warns(DegenerateScaleWarning):
+            fit = _family_fit(family, sample, CFG)
+        assert fit.degenerate_scale and fit.sigma_hat == 0.0
+        np.testing.assert_allclose(fit.predict(x[outliers:]), y[outliers:], rtol=1e-12)
+        exact = fit_least_squares(PopulationSample(Group.HEALTHY, 1e6 + 1e-3 * x, x),
+                                  linear_spec(1, intercept=True))
+        assert exact.degenerate_scale and exact.sigma_hat == 0.0
+
     def test_tiny_covariate_units_fit(self):
         # the design has rank 2, but every elemental |det| is below 1e-12
         rng = np.random.default_rng(1)
@@ -297,6 +334,45 @@ class TestScreenedSSearch:
         got = robust._smallest_scale_row(R, CFG.rho_s_tuning, CFG.breakdown_b)
         assert got == expected
 
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=6, max_value=60),
+           st.integers(min_value=5, max_value=40),
+           st.integers(min_value=0, max_value=4),
+           st.floats(min_value=0.0, max_value=0.6),
+           st.booleans())
+    @example(seed=0, m=6, n=5, copies=4, inf_frac=0.6, gross=True)
+    @example(seed=1, m=40, n=20, copies=0, inf_frac=0.0, gross=False)
+    @settings(max_examples=60, deadline=None)
+    def test_prefiltered_screen_is_exhaustive_argmin(self, seed, m, n, copies,
+                                                     inf_frac, gross):
+        # rows whose start sits exactly at c s* (times the slack), and just
+        # below it, duplicated rows (ties) and +-inf residuals: the screen
+        # that drops rows by their start still returns the argmin and the
+        # bits of solving every row
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, (m, 1))
+        if gross:
+            R[:, : n // 5] *= 1e6
+        R = np.vstack([R, R[rng.integers(0, m, size=copies)]])
+        infs = rng.uniform(size=R.shape) < inf_frac * rng.uniform(size=(len(R), 1))
+        R[infs] = rng.choice([-np.inf, np.inf], size=int(infs.sum()))
+        start = robust._scale_start(R, b)
+        seed = np.argmin(start)
+        s_star = robust._m_scale_row(R[seed], start[seed], c, b)
+        if np.isfinite(s_star):
+            cs = c * s_star * (1.0 + robust._SCREEN_SLACK + robust._SCALE_RTOL)
+            k = np.ceil(n * (1.0 - b)).astype(int) - 1
+            edge = []
+            for at in (cs, np.nextafter(cs, 0.0)):
+                row = np.sort(np.abs(rng.standard_normal(n))) * at / 3.0
+                row[k:] = at
+                edge.append(row * rng.choice([-1.0, 1.0], size=n))
+            R = np.vstack([R, edge])
+            assert robust._scale_start(R, b)[-2] == cs
+        got = robust._smallest_scale_row(R, c, b)
+        assert got == self._exhaustive_row(R)
+
     @pytest.mark.parametrize("y", [
         [1.0, 3.0, 5.0, 7.0, 9.0],   # exact line: all residuals zero
         [1.0, 3.0, 5.0, 13.0],       # one off the line: every pair leaves
@@ -350,6 +426,24 @@ class TestFitMMNonlinear:
             ls_err.append(abs(ls.beta_hat[0] - 5.0))
         assert np.median(mm_err) < 0.3
         assert np.median(ls_err) > 0.5
+
+    @pytest.mark.parametrize("a", [5.0, -3.0])
+    @pytest.mark.parametrize("fit", ["mm", "ls"])
+    def test_covariate_shift_equivariance(self, fit, a):
+        # both exponential fits run in x - mean(x), so the fit of x + a is
+        # the fit of x mapped to (b1 e^{-b2 a}, b2), with sigma unchanged
+        for seed in range(6):
+            s = _exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
+            moved = PopulationSample(s.label, s.y, s.x + a)
+            if fit == "mm":
+                f0, f1 = [fit_mm_nonlinear(t, exponential_spec(), MMConfig(seed=seed))
+                          for t in (s, moved)]
+            else:
+                f0, f1 = [fit_least_squares(t, exponential_spec()) for t in (s, moved)]
+            assert f1.beta_hat[0] * np.exp(f1.beta_hat[1] * a) == pytest.approx(
+                f0.beta_hat[0], rel=1e-12)
+            assert f1.beta_hat[1] == pytest.approx(f0.beta_hat[1], rel=1e-12)
+            assert f1.sigma_hat == pytest.approx(f0.sigma_hat, rel=1e-12)
 
     def test_requires_gradient(self):
         from robustroc import Family, RegressionSpec
@@ -645,13 +739,16 @@ class TestFastMScale:
                 assert got == batch[i] and 0 < got < np.inf
 
     def test_nan_residual_still_raises(self):
+        # the messages say what is wrong with the residuals
         for r in ([1.0, np.nan, 2.0, 3.0], [1.0, np.nan, 2.0], [np.nan, np.nan]):
             with pytest.raises(ValueError) as exc:
                 m_scale(np.array(r), CFG)
-            assert str(exc.value) == ("The function value at x=nan is NaN; "
-                                      "solver cannot continue.")
-        with pytest.raises(ValueError, match="x=inf"):
-            m_scale(np.array([1.0, 2.0, np.inf, -np.inf]), CFG)
+            assert str(exc.value) == "residuals contain NaN: the M-scale is undefined"
+        for r in ([1.0, 2.0, np.inf, -np.inf], [np.inf, -np.inf, 2.0]):
+            with pytest.raises(ValueError) as exc:
+                m_scale(np.array(r), CFG)
+            assert str(exc.value) == ("at least a fraction b = 0.5 of the residuals "
+                                      "is infinite: the M-scale is infinite")
 
     @pytest.mark.parametrize("c", [1.54764, 4.685])
     def test_bisquare_matches_where_form(self, c):
@@ -811,10 +908,12 @@ def _family_fit(family, sample, cfg):
 
 
 def _family_curve(family, x):
-    """Fitted values and Jacobian of the family, as the fits compute them."""
+    """Fitted values and Jacobian of the family, as the fits compute them:
+    the exponential fits run in the centred covariate."""
     if family == "linear":
         X = robust.design_matrix(x, True)
         return (lambda beta: X @ beta), (lambda beta: X)
+    x = x - np.mean(x)
     spec = exponential_spec()
     return (lambda beta: spec.predict(x, beta)), (lambda beta: spec.gradient(x, beta))
 
@@ -832,9 +931,9 @@ class TestDescent:
             candidates.append((betas, R))
             return fit_mm(y, f, J, betas, R, *rest)
 
-        def spy_descend(y, f, J, beta, r, criterion, state, *rest):
-            starts.append((beta.copy(), r.copy(), state))
-            return descend(y, f, J, beta, r, criterion, state, *rest)
+        def spy_descend(y, f, J, beta, r, criterion, state, *rest, **kw):
+            starts.append((beta.copy(), r.copy(), state, kw))
+            return descend(y, f, J, beta, r, criterion, state, *rest, **kw)
 
         monkeypatch.setattr(robust, "_fit_mm", spy_fit_mm)
         monkeypatch.setattr(robust, "_descend", spy_descend)
@@ -842,7 +941,9 @@ class TestDescent:
         (betas, R), = candidates
         best, scale = TestScreenedSSearch._exhaustive_row(R)
         assert len(starts) == 2             # the S-stage, then the M-stage
-        beta, r, (value, w, unit) = starts[0]
+        beta, r, (value, w, unit), kw = starts[0]
+        # only the S-stage also stops on the scale's fall
+        assert kw == {"stop_on_fall": True} and starts[1][3] == {}
         assert np.array_equal(beta, betas[best])
         assert value == unit == scale
         assert np.array_equal(w, bisquare_weight(r / scale, CFG.rho_s_tuning))
@@ -857,16 +958,16 @@ class TestDescent:
         predict, jacobian = _family_curve(family, sample.x)
         c, b = CFG.rho_s_tuning, CFG.breakdown_b
         log, solves = [], []
-        descend, lstsq, solve = (robust._descend, np.linalg.lstsq,
-                                 robust._m_scale_row)
+        descend, weighted_step, solve = (robust._descend, robust._weighted_step,
+                                         robust._m_scale_row)
 
-        def recording_lstsq(A, rhs, rcond=None):
-            log.append(("lstsq", A, rhs))
-            return lstsq(A, rhs, rcond=rcond)
+        def recording_step(A, rhs):
+            log.append(("step", A, rhs))
+            return weighted_step(A, rhs)
 
-        def spy_descend(y, f, J, beta, r, criterion, state, *rest):
+        def spy_descend(y, f, J, beta, r, criterion, state, *rest, **kw):
             if log:                          # the M-stage runs unrecorded
-                return descend(y, f, J, beta, r, criterion, state, *rest)
+                return descend(y, f, J, beta, r, criterion, state, *rest, **kw)
             log.append(("start", beta, r, state))
 
             def f_spy(beta_):
@@ -879,8 +980,9 @@ class TestDescent:
                 return out
 
             with monkeypatch.context() as m:
-                m.setattr(np.linalg, "lstsq", recording_lstsq)
-                return descend(y, f_spy, J, beta, r, criterion_spy, state, *rest)
+                m.setattr(robust, "_weighted_step", recording_step)
+                return descend(y, f_spy, J, beta, r, criterion_spy, state,
+                               *rest, **kw)
 
         def recording_solve(r, s0, c_, b_):
             solves.append((r, s0))
@@ -892,14 +994,10 @@ class TestDescent:
         _, beta, r, (s, w, _) = log[0]
         steps = 0
         for event in log[1:]:
-            if event[0] == "lstsq":
+            if event[0] == "step":
                 _, A, rhs = event
                 sw = np.sqrt(w)
-                # the columns of J are scaled by powers of 2, which is exact
-                JW = jacobian(beta) * sw[:, None]
-                d = JW[np.argmax(sw)] / A[np.argmax(sw)]
-                assert np.all(np.frexp(d)[0] == 0.5)
-                assert np.array_equal(A * d, JW)
+                assert np.array_equal(A, jacobian(beta) * sw[:, None])
                 assert np.array_equal(rhs, r * sw)
                 steps += 1
             elif event[0] == "beta":
@@ -915,7 +1013,9 @@ class TestDescent:
                                            rtol=0.0, atol=1e-14)
                 if s_t <= s * (1.0 + robust._OBJECTIVE_ROUNDING):
                     beta, r, s, w = cand, r_t, s_t, w_t
-        (r_last, s_last), = solves
+        # the screen's seed, then the final solve
+        assert len(solves) == 2
+        r_last, s_last = solves[1]
         assert steps > 2 and np.array_equal(r_last, r) and s_last == s
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -923,8 +1023,8 @@ class TestDescent:
         steps = []
         descend = robust._descend
 
-        def spy(*args):
-            out = descend(*args)
+        def spy(*args, **kw):
+            out = descend(*args, **kw)
             steps.append(out[3])
             return out
 
@@ -932,6 +1032,77 @@ class TestDescent:
         fit = _family_fit(family, _family_sample(family, 8), MMConfig(seed=8))
         assert len(steps) == 2 and min(steps) > 0
         assert fit.iterations == sum(steps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_step_matches_lstsq(self, seed, monkeypatch):
+        # well-conditioned equilibrated columns: the closed 2 x 2 normal
+        # equations agree with lstsq, which is not called
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, 100)
+        sw = np.sqrt(bisquare_weight(rng.standard_normal(100), 2.0))
+        A = robust._equilibrate(robust.design_matrix(x, True))[0] * sw[:, None]
+        rhs = rng.standard_normal(100) * sw
+        expected = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        got = robust._weighted_step(A, rhs)
+        assert not calls
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        # columns scaled by powers of 2 scale the step exactly
+        d = np.array([2.0 ** 60, 2.0 ** -70])
+        assert np.array_equal(robust._weighted_step(A * d, rhs) * d, got)
+
+    @pytest.mark.parametrize("A", [
+        # x + 1e8: the columns agree to 1e-8, so det G is rounding
+        np.column_stack([np.ones(50), 1e8 + np.linspace(-1.0, 1.0, 50)]),
+        np.column_stack([np.ones(50), np.ones(50)]),       # rank 1
+        np.column_stack([np.ones(50), np.zeros(50)]),      # a zero column
+        np.random.default_rng(0).standard_normal((50, 3)),  # three columns
+        # Gram diagonals outside `_GRAM_RANGE`: their squares over- or underflow
+        np.column_stack([np.ones(50), 1e200 * np.linspace(-1.0, 1.0, 50)]),
+        np.column_stack([np.ones(50), 1e-200 * np.linspace(-1.0, 1.0, 50)]),
+    ], ids=["shifted", "equal", "zero", "wide", "huge", "tiny"])
+    def test_weighted_step_falls_back_to_lstsq(self, A):
+        # the fallback takes lstsq on the columns scaled by powers of 2
+        rhs = np.random.default_rng(1).standard_normal(50)
+        scaled, d = robust._equilibrate(A)
+        expected = np.linalg.lstsq(scaled, rhs, rcond=None)[0] / d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(robust._weighted_step(A, rhs), expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_s_stage_stops_on_the_scales_fall(self, family):
+        # with stop_on_fall the S-descent ends at the first accepted step that
+        # lowers the one-step scale by less than tol * s (or moves the fitted
+        # values by less than that), where the plain descent passes through
+        sample = _family_sample(family, 2)
+        f, J = _family_curve(family, sample.x)
+        J = robust.design_matrix(sample.x, True) if family == "linear" else J
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        y = sample.y
+        beta0 = np.array([0.0, 1.0]) if family == "linear" else np.array([7.0, 1.5])
+        r0 = y - f(beta0)
+        s0 = m_scale(r0, CFG)
+        state = (s0, bisquare_weight(r0 / s0, c), s0)
+
+        def descend(max_iter, fall):
+            return robust._descend(y, f, J, beta0, r0, robust._one_step_scale(c, b),
+                                   state, CFG.tol, max_iter, 0.0, stop_on_fall=fall)
+
+        beta, _, value, steps, converged = descend(CFG.max_iter, True)
+        assert converged and 1 < steps < CFG.max_iter
+        plain = [descend(k, False) for k in range(steps - 1, steps + 1)]
+        assert np.array_equal(plain[1][0], beta) and plain[1][2] == value
+        before = plain[0]
+        moved = np.max(np.abs(f(beta) - f(before[0])))
+        assert before[2] - value < CFG.tol * value or moved < CFG.tol * value
+        assert not before[4]                 # the plain descent goes on
+        for k in range(1, steps - 1):
+            prev, cur = descend(k, False)[2], descend(k + 1, False)[2]
+            assert prev - cur >= CFG.tol * cur
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.floats(min_value=-20.0, max_value=20.0),
@@ -956,7 +1127,7 @@ class TestDescent:
     @pytest.mark.parametrize("fit", ["mm_linear", "mm_exponential",
                                      "ls_linear", "ls_exponential"])
     def test_tiny_marker_units_fit(self, fit):
-        # the degenerate-scale floor is 1e-10 max|y|, relative to y: at
+        # the degenerate-scale floor is 1e-10 median|y|, relative to y: at
         # y * 1e-11 no fit is flagged degenerate
         family = fit[3:]
         sample = _family_sample(family, 1)
