@@ -199,12 +199,13 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     least c s* has rho(r/s*) = 1 on more than a fraction b of its entries,
     so it is dropped before the mean rho is taken. A row whose start is 0
     (at most a fraction b of nonzero residuals) fits the majority exactly:
-    its scale is 0, below every other, and the first such row wins."""
+    its scale is 0, below every other, and the first such row wins. A row
+    holding NaN (an overflowed candidate) ranks as an infinite scale."""
     start = _scale_start(R, b)
     exact = np.flatnonzero(start == 0.0)
     if exact.size:
         return int(exact[0]), 0.0
-    seed = int(np.argmin(start))
+    seed = int(np.argsort(start)[0])      # a NaN start sorts last
     s_star = _m_scale_row(R[seed], float(start[seed]), c, b)
     if np.isfinite(s_star):
         cs = c * s_star * (1.0 + _SCREEN_SLACK + _SCALE_RTOL)
@@ -225,7 +226,7 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     else:
         rows = np.arange(R.shape[0])
     scales = _m_scale_rows(R[rows], c, b, start[rows])
-    best = int(np.argmin(scales))
+    best = int(np.argmin(np.where(np.isnan(scales), np.inf, scales)))
     return int(rows[best]), float(scales[best])
 
 
@@ -466,7 +467,10 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     if not np.any(ok):
         raise ValueError("all elemental subsets were singular")
     betas = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
-    R = y[None, :] - betas @ X.T
+    # a candidate through a gross outlier can overflow to inf or NaN
+    # residuals; `_smallest_scale_row` never picks it over a finite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = y[None, :] - betas @ X.T
     return _fit_mm(y, lambda beta: X @ beta, X, betas, R, spec,
                    FitMethod.MM_LINEAR, cfg)
 

@@ -508,6 +508,18 @@ class TestCmdSimulate:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("shift_s", ["1e10", "1e308"])
+    def test_gross_healthy_shift_runs(self, tmp_path, capsys, shift_s):
+        # the shifted markers lifted the old floor, 1e-10 max|y|, above the
+        # MM scale (exit 2), and at 1e308 the candidates through them
+        # overflowed with RuntimeWarnings
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\nn_rep = 2\nn_d = 30\nn_h = 30\n"
+                       "contamination = shift_healthy\ndelta = 0.1\n"
+                       f"shift_s = {shift_s}\n")
+        assert _run(["simulate", "--config", ini, "--out", tmp_path]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
     def test_invalid_scheme_rejected_at_parse_time(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[simulate]\nscenario = linear\n"
