@@ -23,15 +23,13 @@ _SCALE_RTOL = 1e-10    # relative Newton step at which an M-scale solve stops
 _SCALE_GROWTH = 1e3    # largest factor by which one solver step moves a scale
 _SCALE_MAX_STEPS = 200  # solver steps before a scale is returned as it stands
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
-# largest |residual| that leaves a scale solve room for one growth step
-_MAX_ABS_RESIDUAL = np.finfo(float).max / _SCALE_GROWTH
 # a criterion that rises by at most this relative amount has moved by rounding
 _OBJECTIVE_ROUNDING = 16 * np.finfo(float).eps
 _HALVINGS = 12         # step halvings tried before a descent gives up
-# a 2 x 2 Gram matrix with det G <= this * g11 * g22 is left to `lstsq`
+# a Gram matrix G with det G <= this * prod(diag G) is ill conditioned
 _COLLINEAR = 1e-6
-# diagonal of a 2 x 2 Gram matrix whose normal equations lose no precision
-# to subnormal or overflowing products
+# diagonal of a Gram matrix whose normal equations lose no precision to
+# subnormal or overflowing products
 _GRAM_RANGE = (1e-150, 1e150)
 
 
@@ -102,16 +100,14 @@ def _m_scale_rows(R: np.ndarray, c: float, b: float, s0=None) -> np.ndarray:
     b of nonzero residuals (the root is 0) and those with at least a fraction
     b of infinite ones. A row holding NaN gets NaN.
 
-    Each row runs a safeguarded Newton iteration on v = 1/s^2, started at s0
+    Each row runs a safeguarded Newton iteration on v = 1/s^2 from s0
     (default `_scale_start`). mean rho(r sqrt(v)) is concave and increasing
-    in v, so a Newton step from above the root (s > s*) never crosses it, and
-    one from below lands above it. A step that would move s by more than
-    `_SCALE_GROWTH` is cut to that factor. A row stops when its relative
-    step is at most `_SCALE_RTOL`; quadratic convergence leaves the returned
-    scale far closer to the root than that. The arithmetic of a row reads
-    only that row, so its result does not depend, bit for bit, on the other
-    rows of the batch; a single row takes a lean scalar loop with the same
-    arithmetic.
+    in v, so a step from above the root never crosses it, and one from below
+    lands above it. A step is cut to a factor `_SCALE_GROWTH` in s. A row
+    stops on a relative step of at most `_SCALE_RTOL`, by then far closer
+    to the root. A row's arithmetic reads only that row, so its result does
+    not depend, bit for bit, on the batch; `_m_scale_row` is the same
+    arithmetic on one row.
     """
     m, n = R.shape
     s = _scale_start(R, b) if s0 is None else np.array(s0, dtype=float)
@@ -194,13 +190,11 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     that pass the screen of Salibian-Barrera & Yohai (2006): mean rho(r/s)
     decreases in s, so a row whose mean rho(r/s*) exceeds b cannot win. The
     row with the smallest `_scale_start` sets s*, widened by a relative 1e-9
-    plus the solver's tolerance, and rows are solved independently, so the
-    result is bit-identical to solving every row. A row whose start is at
-    least c s* has rho(r/s*) = 1 on more than a fraction b of its entries,
-    so it is dropped before the mean rho is taken. A row whose start is 0
-    (at most a fraction b of nonzero residuals) fits the majority exactly:
-    its scale is 0, below every other, and the first such row wins. A row
-    holding NaN (an overflowed candidate) ranks as an infinite scale."""
+    plus the solver's tolerance; rows are solved independently, so the result
+    is bit-identical to solving every row. A row whose start is at least c s*
+    has rho(r/s*) = 1 on more than a fraction b of its entries and is dropped
+    at once. A row whose start is 0 fits the majority exactly: its scale is
+    0, and the first such row wins. A row holding NaN ranks as inf."""
     start = _scale_start(R, b)
     exact = np.flatnonzero(start == 0.0)
     if exact.size:
@@ -248,10 +242,9 @@ def _elemental_subsets(n: int, q: int, m: int,
 
 def _scale_floor(y: np.ndarray) -> float:
     """Scale at or below which a fit of y is (numerically) exact, in y's
-    units: 1e-10 times the median |y| (`_scale_start` at b = 0.5). The
-    rounding of a residual grows with the size of y, not with its spread,
-    and a median, like the S-scale, ignores up to half of the points, so no
-    single outlier lifts the floor."""
+    units: 1e-10 times the median |y| (`_scale_start` at b = 0.5). Rounding
+    grows with the size of y, not with its spread, and a median, like the
+    S-scale, ignores up to half of the points: no outlier lifts the floor."""
     return 1e-10 * float(_scale_start(y[None, :], 0.5)[0])
 
 
@@ -281,48 +274,64 @@ def _equilibrate(J: np.ndarray):
     return J / d, d
 
 
-def _weighted_step(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution of A step = rhs, which does not depend on the
-    units of A's columns. Two columns that are far from collinear (det G >
-    `_COLLINEAR` g11 g22 for G = A'A), with g11 and g22 inside `_GRAM_RANGE`,
-    are solved by the normal equations in closed form, from one A'[A, rhs]
-    product; scaling a column by a power of 2 scales these results exactly.
-    Other columns are scaled by `_equilibrate` and take `lstsq`, whose SVD
-    does not square the condition number, as does a closed form that
-    overflows."""
-    if A.shape[1] == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = A.T @ np.column_stack([A, rhs])
+def _solve_gram(G: np.ndarray):
+    """Finite solution of H step = g for G = [H, g] (q, q + 1), when the
+    symmetric H is positive definite and well conditioned: diag H inside
+    `_GRAM_RANGE` and det H > `_COLLINEAR` prod(diag H); else None. q = 2 has
+    a closed form, which scaling a column by a power of 2 scales exactly;
+    other q take the Cholesky factor of H scaled to a unit diagonal."""
+    q = G.shape[0]
+    lo, hi = _GRAM_RANGE
+    if q == 2:
         # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
         (g11, g12, h1), (_, g22, h2) = G.tolist()
-        lo, hi = _GRAM_RANGE
         det = g11 * g22 - g12 * g12
-        if lo < g11 < hi and lo < g22 < hi and det > _COLLINEAR * g11 * g22:
-            step = ((g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det)
-            if math.isfinite(step[0]) and math.isfinite(step[1]):
-                return np.array(step)
+        if not (lo < g11 < hi and lo < g22 < hi and det > _COLLINEAR * g11 * g22):
+            return None
+        step = np.array(((g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det))
+    else:
+        d = np.sqrt(np.diagonal(G))          # NaN for a negative diagonal
+        try:
+            L = np.linalg.cholesky(G[:, :q] / np.outer(d, d))
+        except np.linalg.LinAlgError:        # not positive definite
+            return None
+        if not (np.all((lo < d * d) & (d * d < hi))
+                and np.prod(np.diagonal(L)) ** 2 > _COLLINEAR):
+            return None
+        step = np.linalg.solve(G[:, :q], G[:, q])
+    return step if np.isfinite(step).all() else None
+
+
+def _weighted_step(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solution of A step = rhs, which does not depend on the
+    units of A's columns: for two columns `_solve_gram` of A'[A, rhs], else,
+    or if it refuses, `lstsq` on the columns scaled by `_equilibrate`, whose
+    SVD does not square the condition number."""
+    if A.shape[1] == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _solve_gram(A.T @ np.column_stack([A, rhs]))
+        if step is not None:
+            return step
     A, d = _equilibrate(A)
     return np.linalg.lstsq(A, rhs, rcond=None)[0] / d
 
 
-def _one_step_scale(c: float, b: float):
-    """S-stage criterion of `_descend`: the one-step scale s sqrt(mean
-    rho_S(r/s) / b) at the current scale s (Salibian-Barrera & Yohai 2006),
-    which stays above the M-scale of r while s does. It is the unit of the
-    stop and the scale of the next weights."""
+def _s_scale(c: float, b: float):
+    """S-stage criterion of `_descend`: the M-scale s of r (`_m_scale_row`
+    warm-started at the current scale), also the unit of the stop, with the
+    weights (1 - z)^2 and curvature (1 - z)(1 - 5z) at z = min((r/cs)^2, 1)."""
     def criterion(r, s):
-        t = np.square(r / (c * s))
-        w = 1.0 - np.minimum(t, 1.0)
-        s_new = s * math.sqrt((1.0 - float(np.add.reduce(w * w * w)) / r.size) / b)
-        w = 1.0 - np.minimum(t * (s / s_new) ** 2, 1.0)     # the weights at s_new
-        return s_new, w * w, s_new
+        s = _m_scale_row(r, s, c, b)
+        z = np.minimum(np.square(r / (c * s)), 1.0)
+        w = 1.0 - z
+        return s, w * w, w * (1.0 - 5.0 * z), s
     return criterion
 
 
 def _m_objective(sigma: float, c: float):
     """M-stage criterion of `_descend`: mean rho_M(r / sigma) at the fixed
     scale sigma, the unit of the stop. One pass over z = min((r / c sigma)^2, 1)
-    gives it and the next weights (1 - z)^2."""
+    gives it, the next weights (1 - z)^2 and curvature (1 - z)(1 - 5z)."""
     cs = c * sigma
 
     def criterion(r, _):
@@ -330,45 +339,49 @@ def _m_objective(sigma: float, c: float):
         w = 1.0 - z
         # rho = 1 - (1 - z)^3 written so that small terms keep their relative
         # accuracy, which the relative rounding test of `_descend` needs
-        return float(np.add.reduce(z * (3.0 - z * (3.0 - z)))) / r.size, w * w, sigma
+        return (float(np.add.reduce(z * (3.0 - z * (3.0 - z)))) / r.size,
+                w * w, w * (1.0 - 5.0 * z), sigma)
     return criterion
 
 
 def _least_squares(r, _):
     """Least-squares criterion of `_descend`: the root mean square of r, also
-    the unit of the stop, with unit weights."""
+    the unit of the stop, with unit weights and no curvature (IRLS steps)."""
     rms = _root_mean_square(r, r.size)
-    return rms, np.ones(r.size), rms
+    return rms, np.ones(r.size), None, rms
 
 
-def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor,
+def _descend(y, f, J, beta, r, criterion, start, tol, max_iter, floor,
              stop_on_fall=False):
-    """Reweighted Gauss-Newton descent of a criterion from beta, whose
-    residuals are r = y - f(beta): the one loop of every iterative fit.
+    """Safeguarded Newton descent of a criterion from beta, whose residuals
+    are r = y - f(beta): the one loop of every iterative fit. Returns beta,
+    its residuals, the value there, the step count and whether it converged.
 
     J is the Jacobian df/dbeta: an array when it is constant (the design
-    matrix of a linear fit), else a function of beta. state is (value,
-    weights, unit) at beta, and criterion(r, value) gives the state at
-    residuals r. Each step fits J to the current residuals by weighted
-    least squares (`_weighted_step`). It is halved while it raises the value
-    by more than rounding (relative `_OBJECTIVE_ROUNDING`) or makes a
-    residual non-finite. The descent converges when an accepted step moves
-    the fitted values by less than tol * unit, with stop_on_fall also when
-    it lowers the value by less than tol * unit, or when the unit is at most
-    floor (an exact fit). It gives up after max_iter steps, or when
-    `_HALVINGS` halvings leave the value rising.
-
-    Returns beta, its residuals, the value there, the step count and whether
-    the descent converged.
+    matrix of a linear fit), else a function of beta. criterion(r, value)
+    gives the state (value, weights w, curvature h, unit) at residuals r from
+    the current value; start stands for the value before the first state.
+    With w = psi(u)/u and h = psi'(u) on one scale, a step solves
+    (J' diag(h) J) step = J'(w r) by `_solve_gram` when it can; otherwise,
+    and always when h is None, it is the IRLS step `_weighted_step(J sqrt(w),
+    r sqrt(w))`. It is halved while it raises the value by more than rounding
+    (relative `_OBJECTIVE_ROUNDING`) or makes a residual non-finite. The
+    descent converges when an accepted step moves the fitted values, or with
+    stop_on_fall lowers the value, by less than tol * unit, or when the unit
+    is at most floor (an exact fit). It gives up after max_iter steps, or
+    when `_HALVINGS` halvings leave the value rising.
     """
-    value, w, unit = state
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        value, w, h, unit = criterion(r, start)
         while steps < max_iter and unit > floor:
             steps += 1
-            sw = np.sqrt(w)
             A = J(beta) if callable(J) else J
-            step = _weighted_step(A * sw[:, None], r * sw)
+            step = None if h is None else _solve_gram(
+                A.T @ np.column_stack([A * h[:, None], w * r]))
+            if step is None:
+                sw = np.sqrt(w)
+                step = _weighted_step(A * sw[:, None], r * sw)
             bound = value * (1.0 + _OBJECTIVE_ROUNDING)
             for _ in range(_HALVINGS):
                 cand = beta + step
@@ -381,7 +394,7 @@ def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor,
             else:
                 return beta, r, value, steps, False
             fall = value - trial[0] if stop_on_fall else np.inf
-            beta, r, (value, w, unit) = cand, r_cand, trial
+            beta, r, (value, w, h, unit) = cand, r_cand, trial
             if moved < tol * unit or fall < tol * unit:
                 return beta, r, value, steps, True
     return beta, r, value, steps, unit <= floor
@@ -390,37 +403,27 @@ def _descend(y, f, J, beta, r, criterion, state, tol, max_iter, floor,
 def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
     """The MM stages of both families, from elemental candidates betas (k, q)
     with residuals R (k, n), and f and J as in `_descend`. The S-stage
-    descends the one-step scale from the screened winner until a step also
-    barely lowers it (sigma is stationary in beta at the S-minimum), and one
-    solve warm-started at its last value gives sigma. The M-stage descends mean
-    rho_M(r / sigma), and its stop is the fit's `converged`; `iterations`
-    counts the steps of both. A scale that is not finite or at most
-    `_scale_floor(y)` marks an exact fit, returned degenerate with sigma 0
-    after a DegenerateScaleWarning."""
+    descends the M-scale (`_s_scale`) from the screened winner until a step
+    also barely lowers it (sigma is stationary in beta at the S-minimum);
+    its last value is sigma. The M-stage descends mean rho_M(r / sigma); its
+    stop is the fit's `converged`, and `iterations` counts both stages. A
+    scale not finite or at most `_scale_floor(y)` marks an exact fit, with
+    sigma 0, flagged degenerate after a DegenerateScaleWarning."""
     c, b = cfg.rho_s_tuning, cfg.breakdown_b
     best, s = _smallest_scale_row(R, c, b)
-    beta = betas[best]
-    floor = _scale_floor(y)
-    steps = 0
+    beta, floor, steps = betas[best], _scale_floor(y), 0
     if np.isfinite(s) and s > floor:
         # residuals afresh, since the row of R comes from another computation
-        r = y - f(beta)
-        with np.errstate(over="ignore"):     # a gross |r| / s squares to inf
-            w = bisquare_weight(r / s, c)
-        beta, r, s, steps, _ = _descend(
-            y, f, J, beta, r, _one_step_scale(c, b), (s, w, s), cfg.tol,
-            cfg.max_iter, floor, stop_on_fall=True)
-        s = _m_scale_row(r, s, c, b)
+        beta, r, s, steps, _ = _descend(y, f, J, beta, y - f(beta), _s_scale(c, b), s,
+                                        cfg.tol, cfg.max_iter, floor, stop_on_fall=True)
     if not np.isfinite(s) or s <= floor:
         warnings.warn(f"degenerate M-scale in {method.value} fit",
                       DegenerateScaleWarning)
         return RobustFit(spec=spec, beta_hat=beta, sigma_hat=0.0, method=method,
                          converged=True, iterations=steps, degenerate_scale=True)
-    m_stage = _m_objective(s, cfg.rho_m_tuning)
-    with np.errstate(over="ignore"):
-        state = m_stage(r, None)
     beta, _, _, m_steps, converged = _descend(
-        y, f, J, beta, r, m_stage, state, cfg.tol, cfg.max_iter, floor)
+        y, f, J, beta, r, _m_objective(s, cfg.rho_m_tuning), None, cfg.tol,
+        cfg.max_iter, floor)
     return RobustFit(spec=spec, beta_hat=beta, sigma_hat=s, method=method,
                      converged=converged, iterations=steps + m_steps)
 
@@ -445,12 +448,11 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     bisquare M-step started at beta_S, both through `_fit_mm` with J = X.
 
     The candidates are n_subsamples elemental subsets of q observations
-    (`_elemental_subsets`), each solved exactly; a subset whose determinant
-    is small relative to the column scales of X is singular and drops out.
-    Every stop is relative to the current scale, and the rank of X is taken
-    with its columns scaled, so the fit does not depend on the units of x.
-    Raises ValueError when n <= q, when X is rank-deficient, and when every
-    drawn subset is singular.
+    (`_elemental_subsets`) solved exactly; one whose determinant is small
+    relative to the column scales of X is singular and drops out. Stops are
+    relative to the current scale and the rank of X is taken with its
+    columns scaled, so the fit does not depend on the units of x. Raises
+    ValueError when n <= q, X is rank-deficient or every subset is singular.
     """
     spec = linear_spec(sample.p, intercept)
     X = design_matrix(sample.x, intercept)
@@ -468,7 +470,7 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
         raise ValueError("all elemental subsets were singular")
     betas = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
     # a candidate through a gross outlier can overflow to inf or NaN
-    # residuals; `_smallest_scale_row` never picks it over a finite one
+    # residuals, which `_smallest_scale_row` ranks as an infinite scale
     with np.errstate(over="ignore", invalid="ignore"):
         R = y[None, :] - betas @ X.T
     return _fit_mm(y, lambda beta: X @ beta, X, betas, R, spec,
@@ -482,18 +484,16 @@ def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
     b1 = y_i * exp(-b2 * x_i).
 
     Returns the betas (k, 2), the residuals (k, n) and the pairs (k, 2) of the
-    k candidates kept. A pair with y_i / y_j <= 0 or x_i == x_j has no exact
-    fit, and a steep one can overflow; a candidate is kept only when its betas
-    are finite and its residuals at most `_MAX_ABS_RESIDUAL` in size.
+    k candidates kept: those with finite betas. A pair with y_i / y_j <= 0 or
+    x_i == x_j has no exact fit; a steep one can overflow its residuals,
+    which `_smallest_scale_row` ranks as an infinite scale.
     """
     i, j = _elemental_subsets(y.size, 2, m, rng).T
     with np.errstate(all="ignore"):
         b2 = np.log(y[i] / y[j]) / (x[i] - x[j])
         b1 = y[i] * np.exp(-b2 * x[i])
         R = y[None, :] - b1[:, None] * np.exp(b2[:, None] * x[None, :])
-    # the comparison is False for NaN, so it drops non-finite residuals too
-    ok = (np.isfinite(b1) & np.isfinite(b2)
-          & np.all(np.abs(R) <= _MAX_ABS_RESIDUAL, axis=1))
+    ok = np.isfinite(b1) & np.isfinite(b2)
     return (np.column_stack([b1[ok], b2[ok]]), R[ok],
             np.column_stack([i[ok], j[ok]]))
 
@@ -548,12 +548,12 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
     deviation with denominator n - q (from r / max|r|, so it cannot
     overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
 
-    A linear fit is one direct `lstsq` on the design with its columns
-    scaled by `_equilibrate`, which also gives the rank. A nonlinear fit is
-    the unit-weight case of `_descend` in the centred covariate, as for the
-    MM fit, with the default `MMConfig` tol and max_iter, started from
-    `_initial_beta_exponential` unless beta_init is given. Raises
-    ValueError when n <= q and when a linear design is rank-deficient.
+    A linear fit is one `lstsq` on the design with its columns scaled by
+    `_equilibrate`, which also gives the rank. A nonlinear fit is the
+    unit-weight, curvature-free case of `_descend` in the centred covariate,
+    with the default `MMConfig` tol and max_iter, from beta_init or else
+    `_initial_beta_exponential`. Raises ValueError when n <= q and when a
+    linear design is rank-deficient.
     """
     x, y = sample.x, sample.y
     n, q = sample.n, spec.coef_dim
@@ -577,7 +577,7 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
         beta = _shift_exponential(np.asarray(beta_init, dtype=float), -x_bar)
         r = y - f(beta)
         beta, r, _, iters, converged = _descend(
-            y, f, J, beta, r, _least_squares, _least_squares(r, None),
+            y, f, J, beta, r, _least_squares, None,
             MMConfig.tol, MMConfig.max_iter, floor)
         beta = _shift_exponential(beta, x_bar)
     sigma = _root_mean_square(r, n - q)

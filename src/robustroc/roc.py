@@ -6,7 +6,6 @@ from enum import Enum
 from typing import Protocol
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .models import EvalGrid, RobustFit, _freeze
 
@@ -100,7 +99,9 @@ def auc_curve(surface: RocSurface) -> AucCurve:
     p_ext = np.concatenate([[0.0], p, [1.0]])
     nx = surface.grid.x_grid.size
     vals = np.column_stack([np.zeros(nx), surface.values, np.ones(nx)])
-    auc = trapezoid(vals, p_ext, axis=1)
+    # the trapezoid rule with the arithmetic of scipy's `trapezoid`, which
+    # would cost a scipy.integrate import
+    auc = np.add.reduce(np.diff(p_ext) * (vals[:, 1:] + vals[:, :-1]) / 2.0, axis=1)
     return AucCurve(x_grid=surface.grid.x_grid, auc=auc)
 
 

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Dict, Iterable, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .models import (
     EvalGrid,
@@ -184,8 +184,8 @@ def true_surface(scenario: ScenarioSpec, grid: EvalGrid) -> RocSurface:
     a = (scenario.mu(Group.HEALTHY, x) - scenario.mu(Group.DISEASED, x)) \
         / scenario.sigma(Group.DISEASED)
     b = scenario.sigma(Group.HEALTHY) / scenario.sigma(Group.DISEASED)
-    q = norm.ppf(1.0 - grid.p_grid)
-    values = 1.0 - norm.cdf(np.add.outer(a, b * q))
+    q = ndtri(1.0 - grid.p_grid)
+    values = 1.0 - ndtr(np.add.outer(a, b * q))
     return RocSurface(grid=grid, values=values)
 
 

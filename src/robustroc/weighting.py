@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .models import ResidualSet
 
@@ -77,9 +77,9 @@ class ReferenceDistribution:
 def normal_reference(scale: float = 1.0) -> ReferenceDistribution:
     """Centered normal reference; abs_cdf(t) = 2 Phi(t/scale) - 1 for t >= 0."""
     return ReferenceDistribution(
-        cdf=lambda t: norm.cdf(np.asarray(t, dtype=float) / scale),
-        quantile=lambda p: scale * norm.ppf(p),
-        abs_cdf=lambda t: 2.0 * norm.cdf(np.asarray(t, dtype=float) / scale) - 1.0,
+        cdf=lambda t: ndtr(np.asarray(t, dtype=float) / scale),
+        quantile=lambda p: scale * ndtri(p),
+        abs_cdf=lambda t: 2.0 * ndtr(np.asarray(t, dtype=float) / scale) - 1.0,
     )
 
 

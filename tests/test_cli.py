@@ -361,12 +361,16 @@ class TestCmdSimulate:
         assert len(rows[0]) == 42      # 'rep' + 41 x-grid columns
 
     # A small campaign in which every setting matters: diseased_line changes
-    # the shift_diseased scheme only, and with seed 8 (not 5, say) a single
-    # elemental start or tol = 0.1 ends in other bits than the defaults do.
+    # the shift_diseased scheme only. The report reads a fit through step
+    # ECDFs, so a small move of the fit often leaves it unchanged. Newton
+    # steps bring most single elemental starts to the default's minimum and
+    # tol = 0.1 to within about 1e-4 of it; seed 9 (the first from 0 on)
+    # has a start that lands in another minimum, and there tol = 0.1 also
+    # ends in other bits than the defaults do.
     BASE = {"simulate": {"scenario": "linear", "n_rep": "1", "n_d": "30",
                          "n_h": "30", "contamination": "shift_diseased",
                          "delta": "0.1", "shift_s": "5"},
-            "output": {"seed": "8"}}
+            "output": {"seed": "9"}}
     # (section, key) -> (a value off the base's, settings the key needs)
     OFF_BASE = {
         ("model", "family"): ("exponential", {}),
@@ -387,7 +391,7 @@ class TestCmdSimulate:
         ("grids", "x_max"): ("0.5", {}),
         ("grids", "x_count"): ("11", {}),
         ("output", "out_dir"): ("elsewhere", {}),
-        ("output", "seed"): ("9", {}),
+        ("output", "seed"): ("10", {}),
         ("simulate", "scenario"): ("nonlinear", {"contamination": "none",
                                                  "delta": "0", "shift_s": "0"}),
         ("simulate", "n_d"): ("31", {}),

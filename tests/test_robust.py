@@ -496,27 +496,51 @@ class TestFitMMNonlinear:
         with np.errstate(all="ignore"):
             b2 = np.log(y[::2] / y[1::2]) / (x[::2] - x[1::2])
             assert np.sum(np.isinf(np.exp(b2 * np.max(x)))) > 10
-        self._fit_without_warning(x, y, [5.0, 2.0])
+        betas, R = self._fit_without_warning(x, y, [5.0, 2.0])
+        # kept with finite betas, their overflowed residuals rank as inf
+        assert len(betas) < 500 and not np.isfinite(R).all()
 
     def test_residual_too_large_to_bracket_fits_without_warning(self):
         # the curve through (0, 1) and (0.001, e^0.7046) has b2 = 704.6 and a
-        # finite residual of about -1e306 at x = 1, which 1e3 * max|r| overflows
+        # finite residual of about -1e306 at x = 1, which 1e3 * max|r| overflows;
+        # the candidate stays in the search and loses to the curves near truth
         x = np.append(np.linspace(0.0, 1.0, 20), 0.001)
         y = np.exp(x) + 0.01 * np.sin(7.0 * x)
         y[0], y[-1] = 1.0, np.exp(0.7046)
-        betas = self._fit_without_warning(x, y, [1.0, 1.0])
-        assert np.all(np.abs(betas[:, 1]) < 700)
+        betas, R = self._fit_without_warning(x, y, [1.0, 1.0])
+        steep = np.abs(betas[:, 1]) > 700
+        assert steep.any() and np.all(np.abs(R[steep]).max(axis=1) > 1e305)
+
+    @pytest.mark.parametrize("big", [1e9, 1e300, 1e308, -1e308])
+    def test_one_gross_marker_leaves_the_fit(self, big):
+        # a single marker near the top of the float range: the candidates
+        # through it or past it overflow and rank as infinite scales, and the
+        # fit is the one it has at a moderate marker
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, 100)
+        y = 5.0 * np.exp(2.0 * x) + rng.standard_normal(100)
+        fits = []
+        for value in (1e3, big):
+            y_bad = y.copy()
+            y_bad[0] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fits.append(fit_mm_nonlinear(PopulationSample(Group.DISEASED, y_bad, x),
+                                             exponential_spec(), MMConfig(seed=1)))
+        moderate, gross = fits
+        assert gross.converged and not gross.degenerate_scale
+        assert gross.sigma_hat == pytest.approx(moderate.sigma_hat, rel=1e-9)
+        np.testing.assert_allclose(gross.beta_hat, moderate.beta_hat, rtol=1e-9)
 
     @staticmethod
     def _fit_without_warning(x, y, truth):
         sample = PopulationSample(Group.DISEASED, y, x)
-        betas, _, _ = robust._exponential_pairs(x, y, 500, np.random.default_rng(4))
-        assert len(betas) < 500
+        betas, R, _ = robust._exponential_pairs(x, y, 500, np.random.default_rng(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fit_mm_nonlinear(sample, exponential_spec(), MMConfig(seed=4))
         assert np.max(np.abs(fit.beta_hat - truth)) < 0.5
-        return betas
+        return betas, R
 
 
 class TestElementalPairs:
@@ -934,9 +958,9 @@ class TestDescent:
             candidates.append((betas, R))
             return fit_mm(y, f, J, betas, R, *rest)
 
-        def spy_descend(y, f, J, beta, r, criterion, state, *rest, **kw):
-            starts.append((beta.copy(), r.copy(), state, kw))
-            return descend(y, f, J, beta, r, criterion, state, *rest, **kw)
+        def spy_descend(y, f, J, beta, r, criterion, start, *rest, **kw):
+            starts.append((beta.copy(), r.copy(), criterion, start, kw, f(beta)))
+            return descend(y, f, J, beta, r, criterion, start, *rest, **kw)
 
         monkeypatch.setattr(robust, "_fit_mm", spy_fit_mm)
         monkeypatch.setattr(robust, "_descend", spy_descend)
@@ -944,34 +968,40 @@ class TestDescent:
         (betas, R), = candidates
         best, scale = TestScreenedSSearch._exhaustive_row(R)
         assert len(starts) == 2             # the S-stage, then the M-stage
-        beta, r, (value, w, unit), kw = starts[0]
+        beta, r, criterion, start, kw, fitted = starts[0]
         # only the S-stage also stops on the scale's fall
-        assert kw == {"stop_on_fall": True} and starts[1][3] == {}
+        assert kw == {"stop_on_fall": True} and starts[1][4] == {}
         assert np.array_equal(beta, betas[best])
-        assert value == unit == scale
-        assert np.array_equal(w, bisquare_weight(r / scale, CFG.rho_s_tuning))
+        # residuals afresh, and the exact M-scale warm-started at the screen's
+        assert start == scale and np.array_equal(r, sample.y - fitted)
+        value, w, h, unit = criterion(r, start)
+        assert value == unit == pytest.approx(scale, rel=1e-12)
+        np.testing.assert_allclose(w, bisquare_weight(r / value, CFG.rho_s_tuning),
+                                   rtol=0.0, atol=1e-14)
+        # the M-stage starts from the value its criterion computes
+        assert starts[1][3] is None
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_s_steps_weigh_current_residuals(self, family, monkeypatch):
-        # each S-step regresses the current residuals y - f(beta), computed
-        # afresh, on J(beta) with weights at the one-step scale
-        # s <- s sqrt(mean rho(r / s) / b); the last accepted residuals and
-        # scale start the final solve
+        # each S-step solves (J' diag(h) J) step = J'(w r) at the current
+        # beta, with w = (1 - z)^2 and h = (1 - z)(1 - 5z) at the exact M-scale
+        # of the current residuals y - f(beta); each trial scale is the
+        # M-scale of its residuals, and the last accepted one is sigma
         sample = _family_sample(family, 5)
         predict, jacobian = _family_curve(family, sample.x)
         c, b = CFG.rho_s_tuning, CFG.breakdown_b
-        log, solves = [], []
-        descend, weighted_step, solve = (robust._descend, robust._weighted_step,
-                                         robust._m_scale_row)
+        log = []
+        descend, solve_gram = robust._descend, robust._solve_gram
 
-        def recording_step(A, rhs):
-            log.append(("step", A, rhs))
-            return weighted_step(A, rhs)
+        def recording_solve(G):
+            step = solve_gram(G)
+            log.append(("solve", G, step))
+            return step
 
-        def spy_descend(y, f, J, beta, r, criterion, state, *rest, **kw):
+        def spy_descend(y, f, J, beta, r, criterion, start, *rest, **kw):
             if log:                          # the M-stage runs unrecorded
-                return descend(y, f, J, beta, r, criterion, state, *rest, **kw)
-            log.append(("start", beta, r, state))
+                return descend(y, f, J, beta, r, criterion, start, *rest, **kw)
+            log.append(("start", beta, r))
 
             def f_spy(beta_):
                 log.append(("beta", beta_))
@@ -983,43 +1013,44 @@ class TestDescent:
                 return out
 
             with monkeypatch.context() as m:
-                m.setattr(robust, "_weighted_step", recording_step)
-                return descend(y, f_spy, J, beta, r, criterion_spy, state,
+                m.setattr(robust, "_solve_gram", recording_solve)
+                return descend(y, f_spy, J, beta, r, criterion_spy, start,
                                *rest, **kw)
 
-        def recording_solve(r, s0, c_, b_):
-            solves.append((r, s0))
-            return solve(r, s0, c_, b_)
-
         monkeypatch.setattr(robust, "_descend", spy_descend)
-        monkeypatch.setattr(robust, "_m_scale_row", recording_solve)
-        _family_fit(family, sample, MMConfig(seed=5))
-        _, beta, r, (s, w, _) = log[0]
-        steps = 0
+        fit = _family_fit(family, sample, MMConfig(seed=5))
+        _, beta, r = log[0]
+        cand, state, newton = None, None, 0
         for event in log[1:]:
-            if event[0] == "step":
-                _, A, rhs = event
-                sw = np.sqrt(w)
-                assert np.array_equal(A, jacobian(beta) * sw[:, None])
-                assert np.array_equal(rhs, r * sw)
-                steps += 1
+            if event[0] == "solve":
+                _, G, step = event
+                A = jacobian(beta)
+                _, w, h, _ = state
+                assert np.array_equal(G, A.T @ np.column_stack([A * h[:, None], w * r]))
+                newton += step is not None
             elif event[0] == "beta":
                 cand = event[1]
             else:
-                _, r_t, s_prev, (s_t, w_t, unit) = event
-                assert s_prev == s
-                assert np.array_equal(r_t, sample.y - predict(cand))
+                _, r_t, s_prev, out = event
+                s_t, w_t, h_t, unit = out
                 assert s_t == unit
-                assert s_t == pytest.approx(
-                    s * np.sqrt(np.mean(bisquare_rho(r_t / s, c)) / b), rel=1e-14)
+                assert np.mean(bisquare_rho(r_t / s_t, c)) == pytest.approx(b, rel=1e-12)
+                z = np.minimum((r_t / (c * s_t)) ** 2, 1.0)
                 np.testing.assert_allclose(w_t, bisquare_weight(r_t / s_t, c),
                                            rtol=0.0, atol=1e-14)
-                if s_t <= s * (1.0 + robust._OBJECTIVE_ROUNDING):
-                    beta, r, s, w = cand, r_t, s_t, w_t
-        # the screen's seed, then the final solve
-        assert len(solves) == 2
-        r_last, s_last = solves[1]
-        assert steps > 2 and np.array_equal(r_last, r) and s_last == s
+                np.testing.assert_allclose(h_t, (1 - z) * (1 - 5 * z),
+                                           rtol=0.0, atol=1e-14)
+                if state is None:            # the first state, at the start
+                    assert np.array_equal(r_t, r)
+                    state = out
+                    continue
+                assert s_prev == state[0]
+                assert np.array_equal(r_t, sample.y - predict(cand))
+                if s_t <= state[0] * (1.0 + robust._OBJECTIVE_ROUNDING):
+                    beta, r, state = cand, r_t, out
+        # Newton steps throughout, and no solve after the last accepted scale
+        assert newton > 2
+        assert fit.sigma_hat == state[0]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_iterations_count_both_stages(self, family, monkeypatch):
@@ -1079,8 +1110,8 @@ class TestDescent:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_s_stage_stops_on_the_scales_fall(self, family):
         # with stop_on_fall the S-descent ends at the first accepted step that
-        # lowers the one-step scale by less than tol * s (or moves the fitted
-        # values by less than that), where the plain descent passes through
+        # lowers the M-scale by less than tol * s (or moves the fitted values
+        # by less than that), where the plain descent passes through
         sample = _family_sample(family, 2)
         f, J = _family_curve(family, sample.x)
         c, b = CFG.rho_s_tuning, CFG.breakdown_b
@@ -1088,11 +1119,10 @@ class TestDescent:
         beta0 = np.array([0.0, 1.0]) if family == "linear" else np.array([7.0, 1.5])
         r0 = y - f(beta0)
         s0 = m_scale(r0, CFG)
-        state = (s0, bisquare_weight(r0 / s0, c), s0)
 
         def descend(max_iter, fall):
-            return robust._descend(y, f, J, beta0, r0, robust._one_step_scale(c, b),
-                                   state, CFG.tol, max_iter, 0.0, stop_on_fall=fall)
+            return robust._descend(y, f, J, beta0, r0, robust._s_scale(c, b), s0,
+                                   CFG.tol, max_iter, 0.0, stop_on_fall=fall)
 
         beta, _, value, steps, converged = descend(CFG.max_iter, True)
         assert converged and 1 < steps < descend(CFG.max_iter, False)[3]
@@ -1105,6 +1135,107 @@ class TestDescent:
         for k in range(1, steps - 1):
             prev, cur = descend(k, False)[2], descend(k + 1, False)[2]
             assert prev - cur >= CFG.tol * cur
+
+    def test_curvature_not_positive_definite_takes_irls_step(self, monkeypatch):
+        # residuals at 0.5c to 0.9c of the M-scale, where psi' < 0: the
+        # curvature system J' diag(h) J has a negative diagonal, so the step
+        # is the IRLS step of the same weights
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 60)
+        X = robust.design_matrix(x, True)
+        c, sigma = CFG.rho_m_tuning, 1.0
+        r = rng.choice([-1.0, 1.0], 60) * rng.uniform(0.5, 0.9, 60) * c * sigma
+        criterion = robust._m_objective(sigma, c)
+        _, w, h, _ = criterion(r, None)
+        assert np.mean(h < 0) > 0.9
+        assert robust._solve_gram(
+            X.T @ np.column_stack([X * h[:, None], w * r])) is None
+        steps = []
+        weighted_step = robust._weighted_step
+        monkeypatch.setattr(robust, "_weighted_step", lambda A, rhs: steps.append(
+            (A, rhs)) or weighted_step(A, rhs))
+        beta0 = np.zeros(2)
+        beta, *_ = robust._descend(r, lambda b_: X @ b_, X, beta0, r, criterion,
+                                   None, CFG.tol, 1, 0.0)
+        (A, rhs), = steps
+        sw = np.sqrt(w)
+        assert np.array_equal(A, X * sw[:, None]) and np.array_equal(rhs, r * sw)
+        assert np.array_equal(beta, weighted_step(A, rhs))
+
+    def test_unit_weight_descent_forms_no_curvature_system(self, monkeypatch):
+        # the classical exponential fit keeps its IRLS steps: every Gram
+        # matrix it solves comes from `_weighted_step`, while an MM fit also
+        # solves curvature systems
+        inside, outside = [0], []
+        weighted_step, solve_gram = robust._weighted_step, robust._solve_gram
+
+        def step_spy(A, rhs):
+            inside[0] += 1
+            return weighted_step(A, rhs)
+
+        def gram_spy(G):
+            outside.append(inside[0] == 0)
+            return solve_gram(G)
+
+        monkeypatch.setattr(robust, "_weighted_step", step_spy)
+        monkeypatch.setattr(robust, "_solve_gram", gram_spy)
+        for seed in range(4):
+            sample = _exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
+            inside[0] = 0
+            outside.clear()
+            assert fit_least_squares(sample, exponential_spec()).converged
+            assert inside[0] > 0 and not any(outside)
+        inside[0] = 0
+        fit_mm_nonlinear(sample, exponential_spec(), MMConfig(seed=1))
+        assert any(outside)
+
+    @pytest.mark.parametrize("p, intercept", [(2, True), (1, False)],
+                             ids=["q3", "q1"])
+    def test_newton_steps_beyond_two_coefficients(self, p, intercept, monkeypatch):
+        # other q take the Cholesky rule; Newton and IRLS steps reach the
+        # same S- and M-minimum, Newton in fewer steps
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1.0, 1.0, (100, p))
+        truth = np.array([1.0, 2.0, -1.0])[:p + intercept]
+        y = robust.design_matrix(x, intercept) @ truth + rng.standard_normal(100)
+        y[:10] += 15.0
+        sample = PopulationSample(Group.HEALTHY, y, x)
+        solved = []
+        solve_gram = robust._solve_gram
+
+        def spy(G):
+            step = solve_gram(G)
+            solved.append((G.shape[0], step is not None))
+            return step
+
+        monkeypatch.setattr(robust, "_solve_gram", spy)
+        fit = fit_mm_linear(sample, intercept, MMConfig(seed=6))
+        assert fit.converged and not fit.degenerate_scale
+        assert np.max(np.abs(fit.beta_hat - truth)) < 0.5
+        assert (p + intercept, True) in solved
+        monkeypatch.setattr(robust, "_solve_gram", lambda G: None)
+        irls = fit_mm_linear(sample, intercept, MMConfig(seed=6))
+        np.testing.assert_allclose(fit.beta_hat, irls.beta_hat, rtol=1e-6)
+        assert fit.sigma_hat == pytest.approx(irls.sigma_hat, rel=1e-7)
+        assert fit.iterations < irls.iterations
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_few_steps_per_fit(self, family):
+        # Newton steps converge in a few steps: over 20 scenario fits (10
+        # seeds, both groups, odd seeds with 10% outliers) every fit converges
+        # and the mean step count of both stages is at most 12
+        kind = ScenarioKind.LINEAR if family == "linear" else ScenarioKind.NONLINEAR
+        outliers = (ContaminationKind.SHIFT_BOTH if family == "linear"
+                    else ContaminationKind.NONLINEAR_SHIFT)
+        fits = []
+        for seed in range(10):
+            scheme = (ContaminationScheme(outliers, 0.1, 10.0) if seed % 2
+                      else ContaminationScheme(ContaminationKind.NONE, 0.0, 0.0))
+            samples = generate(ScenarioSpec(kind, 100, 100, seed=seed), scheme,
+                               np.random.default_rng([seed, 0]))
+            fits += [_family_fit(family, s_, MMConfig(seed=seed)) for s_ in samples]
+        assert len(fits) == 20 and all(f.converged for f in fits)
+        assert np.mean([f.iterations for f in fits]) <= 12
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.floats(min_value=-20.0, max_value=20.0),
