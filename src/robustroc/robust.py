@@ -23,6 +23,9 @@ _SCALE_RTOL = 1e-10    # relative Newton step at which an M-scale solve stops
 _SCALE_GROWTH = 1e3    # largest factor by which one solver step moves a scale
 _SCALE_MAX_STEPS = 200  # solver steps before a scale is returned as it stands
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
+# entries in one row block of a candidate-stage temporary: 32 KB, which the
+# allocator reuses instead of returning to the OS and faulting back in
+_BLOCK = 4096
 # a criterion that rises by at most this relative amount has moved by rounding
 _OBJECTIVE_ROUNDING = 16 * np.finfo(float).eps
 _HALVINGS = 12         # step halvings tried before a descent gives up
@@ -82,11 +85,25 @@ def bisquare_weight(u: np.ndarray, c: float) -> np.ndarray:
     return (1.0 - np.minimum(z, 1.0)) ** 2
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n entries in one row block: at most `_BLOCK` entries, and at
+    least one row."""
+    return max(1, _BLOCK // n)
+
+
 def _scale_start(R: np.ndarray, b: float) -> np.ndarray:
     """Cold start of each row's M-scale: the order statistic of |r| at index
     ceil(n (1 - b)) - 1, which is positive exactly when more than a fraction
-    b of the row is nonzero. For b = 0.5 it is the (lower) median."""
-    n = R.shape[1]
+    b of the row is nonzero. For b = 0.5 it is the (lower) median. An R of
+    more than one row block is taken a block at a time, so |R| is never
+    copied whole."""
+    m, n = R.shape
+    step = _block_rows(n)
+    if m > step:
+        start = np.empty(m)
+        for lo in range(0, m, step):
+            start[lo:lo + step] = _scale_start(R[lo:lo + step], b)
+        return start
     k = math.ceil(n * (1.0 - b)) - 1
     A = np.abs(R)
     A.partition(k, axis=1)
@@ -194,7 +211,9 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     is bit-identical to solving every row. A row whose start is at least c s*
     has rho(r/s*) = 1 on more than a fraction b of its entries and is dropped
     at once. A row whose start is 0 fits the majority exactly: its scale is
-    0, and the first such row wins. A row holding NaN ranks as inf."""
+    0, and the first such row wins. A row holding NaN ranks as inf. The
+    screen's pass over R runs a row block (`_block_rows`) at a time, so the
+    only (m, n) array is R itself."""
     start = _scale_start(R, b)
     exact = np.flatnonzero(start == 0.0)
     if exact.size:
@@ -205,16 +224,20 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
         cs = c * s_star * (1.0 + _SCREEN_SLACK + _SCALE_RTOL)
         keep = start < cs
         rows = np.flatnonzero(keep)
-        # mean rho(r/s*) <= b, written as mean (1 - min(z, 1))^3 >= 1 - b with
-        # z = (r / c s*)^2, in one buffer; a huge |r| / cs squares to inf
-        z = np.divide(R[rows], cs)
-        with np.errstate(over="ignore"):
-            np.square(z, out=z)
-        np.minimum(z, 1.0, out=z)
-        np.subtract(1.0, z, out=z)
-        w3 = z * z
-        w3 *= z
-        keep[rows] = np.add.reduce(w3, axis=1) >= (1.0 - b) * R.shape[1]
+        n = R.shape[1]
+        step = _block_rows(n)
+        for lo in range(0, rows.size, step):
+            at = rows[lo:lo + step]
+            # mean rho(r/s*) <= b, written as mean (1 - min(z, 1))^3 >= 1 - b
+            # with z = (r / c s*)^2; a huge |r| / cs squares to inf
+            z = np.divide(R[at], cs)
+            with np.errstate(over="ignore"):
+                np.square(z, out=z)
+            np.minimum(z, 1.0, out=z)
+            np.subtract(1.0, z, out=z)
+            w3 = z * z
+            w3 *= z
+            keep[at] = np.add.reduce(w3, axis=1) >= (1.0 - b) * n
         keep[seed] = True      # never empty, whatever the rounding
         rows = np.flatnonzero(keep)
     else:
@@ -451,7 +474,8 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     (`_elemental_subsets`) solved exactly; one whose determinant is small
     relative to the column scales of X is singular and drops out. Stops are
     relative to the current scale and the rank of X is taken with its
-    columns scaled, so the fit does not depend on the units of x. Raises
+    columns scaled, so the fit does not depend on the units of x. The
+    candidates' residuals are one (m, n) array, filled in place. Raises
     ValueError when n <= q, X is rank-deficient or every subset is singular.
     """
     spec = linear_spec(sample.p, intercept)
@@ -472,7 +496,8 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     # a candidate through a gross outlier can overflow to inf or NaN
     # residuals, which `_smallest_scale_row` ranks as an infinite scale
     with np.errstate(over="ignore", invalid="ignore"):
-        R = y[None, :] - betas @ X.T
+        R = betas @ X.T
+        np.subtract(y, R, out=R)
     return _fit_mm(y, lambda beta: X @ beta, X, betas, R, spec,
                    FitMethod.MM_LINEAR, cfg)
 
@@ -486,16 +511,20 @@ def _exponential_pairs(x: np.ndarray, y: np.ndarray, m: int,
     Returns the betas (k, 2), the residuals (k, n) and the pairs (k, 2) of the
     k candidates kept: those with finite betas. A pair with y_i / y_j <= 0 or
     x_i == x_j has no exact fit; a steep one can overflow its residuals,
-    which `_smallest_scale_row` ranks as an infinite scale.
+    which `_smallest_scale_row` ranks as an infinite scale. The residuals of
+    the kept candidates are one (k, n) array, filled in place.
     """
     i, j = _elemental_subsets(y.size, 2, m, rng).T
     with np.errstate(all="ignore"):
         b2 = np.log(y[i] / y[j]) / (x[i] - x[j])
         b1 = y[i] * np.exp(-b2 * x[i])
-        R = y[None, :] - b1[:, None] * np.exp(b2[:, None] * x[None, :])
-    ok = np.isfinite(b1) & np.isfinite(b2)
-    return (np.column_stack([b1[ok], b2[ok]]), R[ok],
-            np.column_stack([i[ok], j[ok]]))
+        ok = np.isfinite(b1) & np.isfinite(b2)
+        b1, b2 = b1[ok], b2[ok]
+        R = np.multiply.outer(b2, x)
+        np.exp(R, out=R)
+        np.multiply(R, b1[:, None], out=R)
+        np.subtract(y, R, out=R)
+    return np.column_stack([b1, b2]), R, np.column_stack([i[ok], j[ok]])
 
 
 def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,

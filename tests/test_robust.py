@@ -1,4 +1,5 @@
 """Robust (MM) and least-squares fitting, plus the M-scale of residuals."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,6 +340,14 @@ class TestScreenedSSearch:
            st.booleans())
     @example(seed=0, m=6, n=5, copies=4, inf_frac=0.6, gross=True)
     @example(seed=1, m=40, n=20, copies=0, inf_frac=0.0, gross=False)
+    # row blocks of 4096 entries: at n = 40 a block holds 102 rows, and the
+    # 224 and 318 rows that reach the screen here end inside a block, with a
+    # winner in the first block that is not the row of the smallest start;
+    # m = 1; and n = 5000 > 4096, where every block holds one row
+    @example(seed=16, m=700, n=40, copies=0, inf_frac=0.0, gross=False)
+    @example(seed=20, m=700, n=40, copies=0, inf_frac=0.0, gross=True)
+    @example(seed=4, m=1, n=40, copies=0, inf_frac=0.0, gross=False)
+    @example(seed=5, m=6, n=5000, copies=2, inf_frac=0.2, gross=True)
     @settings(max_examples=60, deadline=None)
     def test_prefiltered_screen_is_exhaustive_argmin(self, seed, m, n, copies,
                                                      inf_frac, gross):
@@ -369,6 +378,30 @@ class TestScreenedSSearch:
             assert robust._scale_start(R, b)[-2] == cs
         got = robust._smallest_scale_row(R, c, b)
         assert got == self._exhaustive_row(R)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=1, max_value=60),
+           st.integers(min_value=1, max_value=40),
+           st.sampled_from([0.5, 0.25, 0.1]),
+           st.floats(min_value=0.0, max_value=0.6))
+    # blocks of 4096 entries: 102 rows at n = 40, so 250 rows end inside a
+    # block; one row; n = 5000 > 4096, one row a block
+    @example(seed=0, m=250, n=40, b=0.5, special=0.3)
+    @example(seed=1, m=1, n=40, b=0.5, special=0.0)
+    @example(seed=2, m=5, n=5000, b=0.25, special=0.2)
+    @example(seed=3, m=1, n=5000, b=0.5, special=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_scale_start_is_order_statistic_of_each_row(self, seed, m, n, b,
+                                                        special):
+        # zeros, +-inf and NaN among the residuals; the blocked start equals
+        # the partition of the whole |R| bit for bit
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, (m, 1))
+        at = rng.uniform(size=R.shape) < special
+        R[at] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(at.sum()))
+        k = int(np.ceil(n * (1.0 - b))) - 1
+        expected = np.partition(np.abs(R), k, axis=1)[:, k]
+        assert np.array_equal(robust._scale_start(R, b), expected, equal_nan=True)
 
     @pytest.mark.parametrize("y", [
         [1.0, 3.0, 5.0, 7.0, 9.0],   # exact line: all residuals zero
@@ -595,6 +628,44 @@ class TestElementalPairs:
         assert np.all(np.diag(counts) == 0)
         off = counts[~np.eye(4, dtype=bool)]
         assert off.min() > 250 and off.max() < 420
+
+
+class TestCandidateMemory:
+    """The candidate stage of an MM fit keeps one (m, n) array, the residuals
+    R of the candidates, and works on it in place or in row blocks."""
+
+    M, N = 500, 100
+
+    @staticmethod
+    def _peak(fn, *args):
+        fn(*args)              # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("family", ["linear", "exponential"])
+    def test_fit_holds_one_residual_buffer(self, family):
+        cfg = MMConfig(seed=1, n_subsamples=self.M)
+        if family == "linear":
+            sample, _, _ = _linear_sample(1, n=self.N, contaminate=10)
+            peak = self._peak(fit_mm_linear, sample, True, cfg)
+        else:
+            sample = _exp_sample(1, n=self.N, shift=10.0)
+            peak = self._peak(fit_mm_nonlinear, sample, exponential_spec(), cfg)
+        assert peak <= 1.6 * self.M * self.N * 8
+
+    def test_screen_copies_no_residual_matrix(self):
+        rng = np.random.default_rng(0)
+        R = rng.standard_normal((self.M, self.N)) * rng.uniform(0.5, 2.0, (self.M, 1))
+        R[:, :10] += 15.0
+        peak = self._peak(robust._smallest_scale_row, R, CFG.rho_s_tuning,
+                          CFG.breakdown_b)
+        assert peak <= 0.5 * R.nbytes
 
 
 class TestFitLeastSquares:
