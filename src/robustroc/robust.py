@@ -23,6 +23,9 @@ _SCALE_RTOL = 1e-10    # relative Newton step at which an M-scale solve stops
 _SCALE_GROWTH = 1e3    # largest factor by which one solver step moves a scale
 _SCALE_MAX_STEPS = 200  # solver steps before a scale is returned as it stands
 _SCREEN_SLACK = 1e-9   # relative slack that keeps the screen conservative
+# 1 / Phi^-1(3/4): the normal-consistency factor of the MAD, which puts the
+# screen's starts near the root for normal-like residuals
+_CONSISTENT = 1.482602218505602
 # entries in one row block of a candidate-stage temporary: 32 KB, which the
 # allocator reuses instead of returning to the OS and faulting back in
 _BLOCK = 4096
@@ -203,15 +206,20 @@ def m_scale(residuals: np.ndarray, cfg: MMConfig) -> float:
 
 def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     """Lowest-index row of R (the residuals of the elemental candidates) with
-    the smallest `_m_scale_rows` scale, and that scale, solving only the rows
-    that pass the screen of Salibian-Barrera & Yohai (2006): mean rho(r/s)
-    decreases in s, so a row whose mean rho(r/s*) exceeds b cannot win. The
-    row with the smallest `_scale_start` sets s*, widened by a relative 1e-9
-    plus the solver's tolerance; rows are solved independently, so the result
-    is bit-identical to solving every row. A row whose start is at least c s*
-    has rho(r/s*) = 1 on more than a fraction b of its entries and is dropped
-    at once. A row whose start is 0 fits the majority exactly: its scale is
-    0, and the first such row wins. A row holding NaN ranks as inf. The
+    the smallest `_m_scale_rows` scale started at `_CONSISTENT` times
+    `_scale_start`, and that scale, solving only the rows that pass the
+    screen of Salibian-Barrera & Yohai (2006): mean rho(r/s) decreases in s,
+    so a row whose mean rho(r/s*) exceeds b cannot win. The row with the
+    smallest `_scale_start` sets s*, widened by a relative 1e-9 plus the
+    solver's tolerance; rows are solved independently, so the result is
+    bit-identical to solving every row from the same starts. The starts are
+    consistent at the normal, where the bare order statistic lies a factor
+    of about 1.48 below the root; one that overflows leaves its row at an
+    infinite scale. The prefilter and the choice of the seed row read the
+    bare order statistic: a row whose start is at least c s* has
+    rho(r/s*) = 1 on more than a fraction b of its entries and is dropped at
+    once. A row whose start is 0 fits the majority exactly: its scale is 0,
+    and the first such row wins. A row holding NaN ranks as inf. The
     screen's pass over R runs a row block (`_block_rows`) at a time, so the
     only (m, n) array is R itself."""
     start = _scale_start(R, b)
@@ -219,7 +227,7 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
     if exact.size:
         return int(exact[0]), 0.0
     seed = int(np.argsort(start)[0])      # a NaN start sorts last
-    s_star = _m_scale_row(R[seed], float(start[seed]), c, b)
+    s_star = _m_scale_row(R[seed], _CONSISTENT * float(start[seed]), c, b)
     if np.isfinite(s_star):
         cs = c * s_star * (1.0 + _SCREEN_SLACK + _SCALE_RTOL)
         keep = start < cs
@@ -242,7 +250,9 @@ def _smallest_scale_row(R: np.ndarray, c: float, b: float) -> tuple[int, float]:
         rows = np.flatnonzero(keep)
     else:
         rows = np.arange(R.shape[0])
-    scales = _m_scale_rows(R[rows], c, b, start[rows])
+    with np.errstate(over="ignore"):
+        s0 = _CONSISTENT * start[rows]
+    scales = _m_scale_rows(R[rows], c, b, s0)
     best = int(np.argmin(np.where(np.isnan(scales), np.inf, scales)))
     return int(rows[best]), float(scales[best])
 
@@ -466,17 +476,45 @@ def _shift_exponential(beta: np.ndarray, a: float) -> np.ndarray:
         return np.array([beta[0] * np.exp(-beta[1] * a), beta[1]])
 
 
+def _elemental_fits(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
+    """Exact fits of y = X beta through the elemental subsets idx (m, q):
+    the betas (k, q) of the nonsingular subsets and the mask ok (m,) that
+    marks them. A subset is singular when |det X[idx]| <= 1e-12 times the
+    product of the column maxima of |X|, so rescaling a column keeps the
+    same subsets. For q = 2 the determinant and the solve are the closed
+    2 x 2 forms on the rows X[i], X[j] of each pair, for any two columns;
+    a pair through a gross marker can overflow to inf or NaN betas, which
+    the screen ranks as an infinite scale. Other q take `det` and `solve`
+    of the stacked systems."""
+    tiny = 1e-12 * np.prod(np.max(np.abs(X), axis=0))
+    if X.shape[1] != 2:
+        A = X[idx]                  # (m, q, q)
+        ok = np.abs(np.linalg.det(A)) > tiny
+        return np.linalg.solve(A[ok], y[idx[ok]][..., None])[..., 0], ok
+    i, j = idx.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a, b), (c, d) = X[i].T, X[j].T     # rows X[i] = (a, b), X[j] = (c, d)
+        yi, yj = y[i], y[j]
+        det = a * d - b * c
+        ok = np.abs(det) > tiny
+        a, b, c, d, yi, yj, det = (v[ok] for v in (a, b, c, d, yi, yj, det))
+        betas = np.column_stack([(d * yi - b * yj) / det, (a * yj - c * yi) / det])
+    return betas, ok
+
+
 def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> RobustFit:
     """Linear MM fit: an S-estimator (beta_S, sigma), then a fixed-scale
     bisquare M-step started at beta_S, both through `_fit_mm` with J = X.
 
     The candidates are n_subsamples elemental subsets of q observations
-    (`_elemental_subsets`) solved exactly; one whose determinant is small
-    relative to the column scales of X is singular and drops out. Stops are
-    relative to the current scale and the rank of X is taken with its
-    columns scaled, so the fit does not depend on the units of x. The
-    candidates' residuals are one (m, n) array, filled in place. Raises
-    ValueError when n <= q, X is rank-deficient or every subset is singular.
+    (`_elemental_subsets`) solved exactly by `_elemental_fits`, with closed
+    2 x 2 forms for q = 2 and `det` and `solve` otherwise; one whose
+    determinant is small relative to the column scales of X is singular and
+    drops out. Stops are relative to the current scale and the rank of X is
+    taken with its columns scaled, so the fit does not depend on the units
+    of x. The candidates' residuals are one (m, n) array, filled in place.
+    Raises ValueError when n <= q, X is rank-deficient or every subset is
+    singular.
     """
     spec = linear_spec(sample.p, intercept)
     X = design_matrix(sample.x, intercept)
@@ -486,13 +524,9 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
 
     rng = np.random.default_rng(cfg.seed)
     idx = _elemental_subsets(n, q, cfg.n_subsamples, rng)
-    A = X[idx]                      # (m, q, q)
-    B = y[idx]                      # (m, q)
-    # singularity relative to the column scales, so rescaling x keeps the same subsets
-    ok = np.abs(np.linalg.det(A)) > 1e-12 * np.prod(np.max(np.abs(X), axis=0))
+    betas, ok = _elemental_fits(X, y, idx)
     if not np.any(ok):
         raise ValueError("all elemental subsets were singular")
-    betas = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
     # a candidate through a gross outlier can overflow to inf or NaN
     # residuals, which `_smallest_scale_row` ranks as an infinite scale
     with np.errstate(over="ignore", invalid="ignore"):

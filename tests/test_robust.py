@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from robustroc import robust
 from robustroc import (
@@ -30,6 +31,9 @@ from robustroc import (
 )
 
 CFG = MMConfig()
+# 1 / Phi^-1(3/4): the screen starts each row's scale solve at this multiple
+# of `_scale_start`
+CONSISTENT = 1.482602218505602
 
 
 class TestBisquare:
@@ -245,7 +249,8 @@ class TestFitMMLinear:
 
 
 class TestScreenedSSearch:
-    """The screened S-search returns exactly what scoring every candidate does."""
+    """The screened S-search returns exactly what solving every candidate from
+    the same starts does."""
 
     @staticmethod
     def _fit_pair(sample, cfg, monkeypatch):
@@ -253,7 +258,8 @@ class TestScreenedSSearch:
         seen = []
 
         def exhaustive(R, c, b):
-            scales = robust._m_scale_rows(R, c, b)
+            scales = robust._m_scale_rows(R, c, b,
+                                          CONSISTENT * robust._scale_start(R, b))
             seen.append(scales)
             best = int(np.argmin(scales))
             return best, float(scales[best])
@@ -300,7 +306,8 @@ class TestScreenedSSearch:
 
     @staticmethod
     def _exhaustive_row(R):
-        scales = robust._m_scale_rows(R, CFG.rho_s_tuning, CFG.breakdown_b)
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        scales = robust._m_scale_rows(R, c, b, CONSISTENT * robust._scale_start(R, b))
         best = int(np.argmin(scales))
         return best, float(scales[best])
 
@@ -402,6 +409,67 @@ class TestScreenedSSearch:
         k = int(np.ceil(n * (1.0 - b))) - 1
         expected = np.partition(np.abs(R), k, axis=1)[:, k]
         assert np.array_equal(robust._scale_start(R, b), expected, equal_nan=True)
+
+    def test_screen_starts_at_consistent_scale(self, monkeypatch):
+        # the seed solve and the batch solve of the screened rows start at
+        # 1 / Phi^-1(3/4) times the order statistic of their rows, while the
+        # cold start of m_scale stays the bare order statistic
+        assert CONSISTENT == pytest.approx(1.0 / ndtri(0.75), rel=1e-15)
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        rng = np.random.default_rng(3)
+        # near copies of one row, so that many rows pass the screen
+        R = rng.standard_normal(50) + 1e-3 * rng.standard_normal((200, 50))
+        one, many = robust._m_scale_row, robust._m_scale_rows
+        row_calls, batch_calls = [], []
+
+        def spy_row(r, s, c, b):
+            row_calls.append((r.copy(), s))
+            return one(r, s, c, b)
+
+        def spy_rows(R, c, b, s0=None):
+            batch_calls.append((R.copy(), s0))
+            return many(R, c, b, s0)
+
+        monkeypatch.setattr(robust, "_m_scale_row", spy_row)
+        monkeypatch.setattr(robust, "_m_scale_rows", spy_rows)
+        robust._smallest_scale_row(R, c, b)
+        start = robust._scale_start(R, b)
+        r, s = row_calls[0]
+        assert np.array_equal(r, R[np.argmin(start)])
+        assert s == CONSISTENT * start.min()
+        (rows, s0), = batch_calls
+        assert len(rows) > 1
+        assert np.array_equal(s0, CONSISTENT * robust._scale_start(rows, b))
+        row_calls.clear()
+        batch_calls.clear()
+        m_scale(R[0], CFG)
+        assert batch_calls[0][1] is None
+        assert row_calls[0][1] == robust._scale_start(R[:1], b)[0]
+
+    @pytest.mark.parametrize("sizes", [
+        [0.9e308, 0.95e308, 1e308, 1.7e308, 1.7e308, 1.75e308],
+        [1.7e308] * 6,
+    ])
+    def test_overflowing_start_raises_no_warning(self, sizes):
+        # residuals near the top of the float range: where the start times
+        # 1.48 overflows, the row is left at an infinite scale, silently, and
+        # the screen still returns the exhaustive argmin; when every start
+        # overflows, the seed's scale is infinite and every row is solved
+        c, b = CFG.rho_s_tuning, CFG.breakdown_b
+        rng = np.random.default_rng(0)
+        R = (rng.uniform(0.5, 1.0, (6, 40)) * rng.choice([-1.0, 1.0], (6, 40))
+             * np.array(sizes)[:, None])
+        start = robust._scale_start(R, b)
+        huge = start > np.finfo(float).max / CONSISTENT
+        assert huge.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, scale = robust._smallest_scale_row(R, c, b)
+        with np.errstate(over="ignore"):
+            assert (best, scale) == self._exhaustive_row(R)
+            scales = robust._m_scale_rows(R, c, b, CONSISTENT * start)
+        assert np.all(np.isinf(scales[huge]))
+        assert np.isfinite(scale) == (not huge.all())
 
     @pytest.mark.parametrize("y", [
         [1.0, 3.0, 5.0, 7.0, 9.0],   # exact line: all residuals zero
@@ -986,6 +1054,63 @@ class TestElementalSubsets:
         # and, unordered, about equally often: 4000 / 35 = 114 each
         _, counts = np.unique(np.sort(idx, axis=1), axis=0, return_counts=True)
         assert counts.min() > 70 and counts.max() < 160
+
+
+class TestElementalFits:
+    """`_elemental_fits`, the exact fits behind the linear MM candidates: in
+    closed form for pairs, for any two columns."""
+
+    @staticmethod
+    def _design(seed, k, intercept, n=30):
+        # x * 10^k with repeated rows and, without an intercept, rows scaled
+        # by 3; pairs of them are appended, so that some pairs are singular,
+        # and last two pairs whose determinants are 1e-14 and 1e-10 of the
+        # column scales, on either side of the relative test of 1e-12
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 2.0, (n, 1 if intercept else 2)) * 10.0 ** k
+        x[:4] = x[4:8]
+        if not intercept:
+            x[8:10] = 3.0 * x[10:12]
+            x[12:16, 1] = 10.0 ** k
+        x[13, 0] = x[12, 0] + 2e-14 * 10.0 ** k
+        x[15, 0] = x[14, 0] + 2e-10 * 10.0 ** k
+        X = robust.design_matrix(x, intercept)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        idx = robust._elemental_subsets(n, 2, 300, rng)
+        near = [[0, 4], [5, 1], [8, 10], [11, 9], [12, 13], [14, 15]]
+        return X, y, np.vstack([idx, near])
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=-12, max_value=12),
+           st.booleans())
+    @example(seed=0, k=-12, intercept=True)
+    @example(seed=1, k=12, intercept=False)
+    @settings(max_examples=60, deadline=None)
+    def test_kept_candidates_interpolate_their_pair(self, seed, k, intercept):
+        X, y, idx = self._design(seed, k, intercept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            betas, ok = robust._elemental_fits(X, y, idx)
+        tiny = 1e-12 * np.prod(np.max(np.abs(X), axis=0))
+        assert np.array_equal(ok, np.abs(np.linalg.det(X[idx])) > tiny)
+        assert 0 < ok.sum() < len(idx) and betas.shape == (ok.sum(), 2)
+        assert list(ok[-6:]) == [False, False, intercept, intercept, False, True]
+        for col in (0, 1):
+            at = idx[ok, col]
+            fitted = np.einsum("ij,ij->i", X[at], betas)
+            size = np.abs(y[at]) + np.einsum("ij,ij->i", np.abs(X[at]), np.abs(betas))
+            # 1e-9, as for the exponential pairs: the last pair's condition
+            # number is about 1e10
+            assert np.all(np.abs(y[at] - fitted) <= 1e-9 * size)
+        # gross markers of both signs can overflow the betas through them,
+        # silently, and leave the singularity test and the other pairs be
+        y[:2] = [1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gross, gross_ok = robust._elemental_fits(X, y, idx)
+        assert np.array_equal(gross_ok, ok)
+        clear = ~np.isin(idx[ok], [0, 1]).any(axis=1)
+        assert np.array_equal(gross[clear], betas[clear])
 
 
 FAMILIES = ("linear", "exponential")
