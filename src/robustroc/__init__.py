@@ -13,13 +13,10 @@ from .models import (
     Group,
     PopulationSample,
     RegressionSpec,
-    ResidualSet,
     RobustFit,
     ScenarioKind,
     default_grids,
     design_matrix,
-    exponential_spec,
-    linear_spec,
     standardized_residuals,
 )
 from .robust import (
@@ -86,13 +83,13 @@ __all__ = [
     "ContaminationScheme", "DatasetFormatError", "DegenerateScaleWarning",
     "EvalGrid", "Family", "FitMethod", "Group", "MMConfig", "MarkerTransform",
     "MetricsReport", "PopulationSample", "ReferenceDistribution", "RegressionSpec",
-    "ResidualSet", "RobustFit", "RocSurface", "RunConfig", "ScenarioKind",
+    "RobustFit", "RocSurface", "RunConfig", "ScenarioKind",
     "ScenarioSpec", "SyntheticStudy", "Variant", "VariantMetrics", "WeightFunction",
     "WeightKind", "WeightedEcdf", "adaptive_cutoff", "atypicality_dn",
     "auc_curve", "bisquare_rho", "bisquare_weight", "build_weighted_ecdf",
-    "default_grids", "design_matrix", "exponential_spec", "fit_least_squares",
+    "default_grids", "design_matrix", "fit_least_squares",
     "fit_mm_linear", "fit_mm_nonlinear", "generate",
-    "hard_rejection", "ks_metric", "linear_spec", "load_config", "m_scale",
+    "hard_rejection", "ks_metric", "load_config", "m_scale",
     "make_synthetic_study", "mse_metric", "normal_reference", "plain_ecdf",
     "read_dataset", "roc_at", "roc_surface", "run_campaign", "smooth_polynomial",
     "standard_normal_reference", "standardized_residuals", "transform_marker",

@@ -22,8 +22,8 @@ from .models import (
     EvalGrid,
     Family,
     PopulationSample,
+    RegressionSpec,
     default_grids,
-    family_spec,
 )
 from .roc import (
     ConditionalRocModel,
@@ -59,8 +59,18 @@ def _dataset_config(cfg: RunConfig) -> RunConfig:
                    weight_kind=cfg.weight_kind or WeightKind.HARD_REJECTION)
 
 
-def _load_samples(path, cfg: RunConfig):
+def _load_samples(path, cfg: RunConfig, command: str):
+    """The dataset's two samples, with cfg's marker transform, and the spec
+    of cfg's family for the dataset's covariates. roc evaluates over one
+    covariate, and the exponential family takes one."""
     diseased, healthy = read_dataset(path)
+    if command == "roc" and diseased.p != 1:
+        raise UsageError(f"roc evaluates the ROC surface over one covariate, "
+                         f"the dataset has {diseased.p}")
+    try:
+        spec = RegressionSpec(cfg.family, diseased.p)
+    except ValueError as exc:
+        raise UsageError(f"{command}: {exc} in the dataset") from exc
     if cfg.transform is not None:
         diseased = PopulationSample(diseased.label,
                                     transform_marker(diseased.y, cfg.transform),
@@ -68,7 +78,7 @@ def _load_samples(path, cfg: RunConfig):
         healthy = PopulationSample(healthy.label,
                                    transform_marker(healthy.y, cfg.transform),
                                    healthy.x)
-    return diseased, healthy
+    return diseased, healthy, spec
 
 
 def _population_report(sample: PopulationSample, fit, ecdf=None) -> dict:
@@ -115,10 +125,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_fit(dataset: str, cfg: RunConfig, out_dir: Path) -> Path:
     """Fit both populations and write the residual/weight diagnostics report."""
     cfg = _dataset_config(cfg)
-    diseased, healthy = _load_samples(dataset, cfg)
+    diseased, healthy, spec = _load_samples(dataset, cfg, "fit")
     report = {"variant": cfg.variant.value, "family": cfg.family.value,
               "eta": cfg.eta, "seed": cfg.seed}
-    spec = family_spec(cfg.family, diseased.p)
     mm = replace(cfg.mm, seed=cfg.seed)
     weights = weight_function(cfg.weight_kind)
     for name, sample in (("diseased", diseased), ("healthy", healthy)):
@@ -151,25 +160,13 @@ def write_surface_csv(path: Path, surface: RocSurface) -> None:
             writer.writerow([FMT % x] + [FMT % v for v in row])
 
 
-def read_surface_csv(path) -> RocSurface:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "x":
-        raise DatasetFormatError("line 1: surface header must start with 'x'")
-    p = np.array([float(c) for c in rows[0][1:]])
-    x = np.array([float(r[0]) for r in rows[1:]])
-    values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-    return RocSurface(grid=EvalGrid(p_grid=p, x_grid=x), values=values)
-
-
 def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
     """Fit, build the plug-in ROC surface and AUC curve, and export them."""
     if cfg.p_count < 2:
         raise UsageError(f"[grids] p_count must be at least 2 for roc, whose AUC "
                          f"curve needs two p points, found {cfg.p_count}")
     cfg = _dataset_config(cfg)
-    diseased, healthy = _load_samples(dataset, cfg)
-    spec = family_spec(cfg.family, diseased.p)
+    diseased, healthy, spec = _load_samples(dataset, cfg, "roc")
     mm = replace(cfg.mm, seed=cfg.seed)
     weights = weight_function(cfg.weight_kind)
     fit_d = fit_population(diseased, spec, cfg.variant, mm)

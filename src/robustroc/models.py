@@ -1,9 +1,8 @@
 """Core domain types: population samples, regression specs, fits, residuals, grids."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,6 +39,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _columns(x) -> np.ndarray:
+    """x as a float array of covariate rows: a 1-d x is one covariate."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return x[:, None] if x.ndim == 1 else x
+
+
 @dataclass(frozen=True)
 class PopulationSample:
     """Paired (y, x) observations for one population.
@@ -53,10 +58,7 @@ class PopulationSample:
 
     def __post_init__(self):
         y = _freeze(np.atleast_1d(self.y))
-        x = np.atleast_1d(self.x)
-        if x.ndim == 1:
-            x = x[:, None]
-        x = _freeze(x)
+        x = _freeze(_columns(self.x))
         if y.ndim != 1 or x.ndim != 2:
             raise ValueError("y must be 1-d and x 2-d")
         if len(y) != x.shape[0]:
@@ -81,78 +83,52 @@ class PopulationSample:
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """Regression-function family f(x, beta) with optional gradient d f / d beta.
-
-    eval maps (x, beta) -> (n,) predictions for x of shape (n, p);
-    gradient maps (x, beta) -> (n, q) and is required for nonlinear fitting.
-    """
+    """Regression function f(x, beta) of a family: linear, design(x) @ beta
+    with an optional intercept column, or exponential, beta_1 exp(beta_2 x)
+    in a scalar covariate, which has no intercept."""
 
     family: Family
-    coef_dim: int
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gradient: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    intercept: bool = False
-    covariate_dim: Optional[int] = None
+    covariate_dim: int = 1
+    intercept: bool = True
+
+    def __post_init__(self):
+        if self.family is Family.EXPONENTIAL:
+            if self.covariate_dim != 1:
+                raise ValueError(f"the exponential family takes one covariate, "
+                                 f"found {self.covariate_dim}")
+            object.__setattr__(self, "intercept", False)
+
+    @property
+    def coef_dim(self) -> int:
+        if self.family is Family.EXPONENTIAL:
+            return 2
+        return self.covariate_dim + self.intercept
 
     def predict(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 1:
-            x = x[:, None]
-        if self.covariate_dim is not None and x.shape[1] != self.covariate_dim:
+        x = _columns(x)
+        if x.shape[1] != self.covariate_dim:
             raise ValueError(
                 f"covariate dimension {x.shape[1]} incompatible with spec "
                 f"(expected {self.covariate_dim})"
             )
-        return np.asarray(self.eval(x, np.asarray(beta, dtype=float)), dtype=float)
-
-
-def design_matrix(x: np.ndarray, intercept: bool) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim == 1:
-        x = x[:, None]
-    if intercept:
-        return np.column_stack([np.ones(x.shape[0]), x])
-    return x
-
-
-def linear_spec(p: int = 1, intercept: bool = True) -> RegressionSpec:
-    """Linear family f(x, beta) = design(x) @ beta with an optional intercept column."""
-    q = p + (1 if intercept else 0)
-
-    def _eval(x, beta):
-        return design_matrix(x, intercept) @ beta
-
-    def _grad(x, beta):
-        return design_matrix(x, intercept)
-
-    return RegressionSpec(
-        family=Family.LINEAR, coef_dim=q, eval=_eval, gradient=_grad,
-        intercept=intercept, covariate_dim=p,
-    )
-
-
-def exponential_spec() -> RegressionSpec:
-    """Exponential family f(x, beta) = beta_1 * exp(beta_2 * x) for scalar x."""
-
-    def _eval(x, beta):
+        beta = np.asarray(beta, dtype=float)
+        if self.family is Family.LINEAR:
+            return design_matrix(x, self.intercept) @ beta
         return beta[0] * np.exp(beta[1] * x[:, 0])
 
-    def _grad(x, beta):
+    def gradient(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """d f / d beta (n, q) at the covariates x, an (n, p) array."""
+        if self.family is Family.LINEAR:
+            return design_matrix(x, self.intercept)
         e = np.exp(beta[1] * x[:, 0])
         return np.column_stack([e, beta[0] * x[:, 0] * e])
 
-    return RegressionSpec(
-        family=Family.EXPONENTIAL, coef_dim=2, eval=_eval, gradient=_grad,
-        covariate_dim=1,
-    )
 
-
-def family_spec(family: Family, p: int = 1) -> RegressionSpec:
-    """Spec of a family for p covariates: linear with an intercept, or
-    exponential in a scalar covariate."""
-    if family is Family.LINEAR:
-        return linear_spec(p, intercept=True)
-    return exponential_spec()
+def design_matrix(x: np.ndarray, intercept: bool) -> np.ndarray:
+    x = _columns(x)
+    if intercept:
+        return np.column_stack([np.ones(x.shape[0]), x])
+    return x
 
 
 @dataclass(frozen=True)
@@ -181,31 +157,16 @@ class RobustFit:
         return self.spec.predict(x, self.beta_hat)
 
 
-@dataclass(frozen=True)
-class ResidualSet:
-    """Standardized residuals r_i = (y_i - mu_hat(x_i)) / sigma_hat."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = _freeze(np.atleast_1d(self.r))
-        if len(r) < 1:
-            raise ValueError("residual set must be nonempty")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("residuals must be finite")
-        object.__setattr__(self, "r", r)
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-
-def standardized_residuals(sample: PopulationSample, fit: RobustFit) -> ResidualSet:
-    """Compute (y - f(x, beta_hat)) / sigma_hat for every observation, in order."""
+def standardized_residuals(sample: PopulationSample, fit: RobustFit) -> np.ndarray:
+    """(y - f(x, beta_hat)) / sigma_hat for every observation, in order, as a
+    read-only array."""
     if fit.degenerate_scale or fit.sigma_hat <= 0:
         raise ValueError("cannot standardize residuals with a degenerate scale")
-    mu = fit.predict(sample.x)
-    return ResidualSet(r=(sample.y - mu) / fit.sigma_hat)
+    r = (sample.y - fit.predict(sample.x)) / fit.sigma_hat
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals must be finite")
+    r.flags.writeable = False
+    return r
 
 
 @dataclass(frozen=True)

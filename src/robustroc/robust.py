@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,6 @@ from .models import (
     RegressionSpec,
     RobustFit,
     design_matrix,
-    linear_spec,
 )
 
 
@@ -463,8 +463,7 @@ def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
 
 def _curve(spec: RegressionSpec, x: np.ndarray):
     """f and J of `_descend` for a nonlinear family at the covariates x."""
-    return (lambda beta: spec.predict(x, beta),
-            lambda beta: np.asarray(spec.gradient(x, beta), dtype=float))
+    return partial(spec.predict, x), partial(spec.gradient, x)
 
 
 def _shift_exponential(beta: np.ndarray, a: float) -> np.ndarray:
@@ -516,7 +515,7 @@ def fit_mm_linear(sample: PopulationSample, intercept: bool, cfg: MMConfig) -> R
     Raises ValueError when n <= q, X is rank-deficient or every subset is
     singular.
     """
-    spec = linear_spec(sample.p, intercept)
+    spec = RegressionSpec(Family.LINEAR, sample.p, intercept)
     X = design_matrix(sample.x, intercept)
     y = sample.y
     n, q = X.shape
@@ -574,8 +573,6 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
     n <= 2, when the covariate is constant (only b1 * exp(b2 * x) is then
     identified, not b1 and b2), and when no drawn pair has a finite exact fit.
     """
-    if spec.gradient is None:
-        raise ValueError("nonlinear MM fitting requires a gradient")
     if spec.family is not Family.EXPONENTIAL:
         raise ValueError("elemental-pair starts exist for the exponential family only")
     x, y = sample.x, sample.y
@@ -605,8 +602,7 @@ def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
     return np.array([np.exp(coef[0]), coef[1]])
 
 
-def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
-                      beta_init: Optional[np.ndarray] = None) -> RobustFit:
+def fit_least_squares(sample: PopulationSample, spec: RegressionSpec) -> RobustFit:
     """Classical least-squares fit; sigma_hat is the residual standard
     deviation with denominator n - q (from r / max|r|, so it cannot
     overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
@@ -614,7 +610,7 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
     A linear fit is one `lstsq` on the design with its columns scaled by
     `_equilibrate`, which also gives the rank. A nonlinear fit is the
     unit-weight, curvature-free case of `_descend` in the centred covariate,
-    with the default `MMConfig` tol and max_iter, from beta_init or else
+    with the default `MMConfig` tol and max_iter, from the log-linear start
     `_initial_beta_exponential`. Raises ValueError when n <= q and when a
     linear design is rank-deficient.
     """
@@ -631,13 +627,9 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec,
         converged, iters = True, 1
     else:
         _check_identifiable(n, q)
-        if beta_init is None and spec.family is Family.EXPONENTIAL:
-            beta_init = _initial_beta_exponential(sample)
-        if spec.gradient is None or beta_init is None:
-            raise ValueError("nonlinear least squares needs a gradient and beta_init")
         x_bar = float(np.mean(x))
         f, J = _curve(spec, x - x_bar)
-        beta = _shift_exponential(np.asarray(beta_init, dtype=float), -x_bar)
+        beta = _shift_exponential(_initial_beta_exponential(sample), -x_bar)
         r = y - f(beta)
         beta, r, _, iters, converged = _descend(
             y, f, J, beta, r, _least_squares, None,

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
 
 import numpy as np
 
 from .models import EvalGrid, RobustFit, _freeze
+from .weighting import ReferenceDistribution, WeightedEcdf
 
 
 class Variant(Enum):
@@ -16,24 +16,16 @@ class Variant(Enum):
     HYBRID = "hybrid"
 
 
-class ErrorDistribution(Protocol):
-    """Anything exposing a CDF and a quantile function (weighted ECDFs,
-    plain ECDFs, exact reference distributions)."""
-
-    def cdf(self, t): ...
-
-    def quantile(self, q): ...
-
-
 @dataclass(frozen=True)
 class ConditionalRocModel:
     """Fitted location-scale models for both populations plus residual
-    distribution estimators, ready for plug-in ROC evaluation."""
+    distribution estimators (or exact reference distributions), ready for
+    plug-in ROC evaluation."""
 
     fit_D: RobustFit
     fit_H: RobustFit
-    gD_hat: ErrorDistribution
-    gH_hat: ErrorDistribution
+    gD_hat: WeightedEcdf | ReferenceDistribution
+    gH_hat: WeightedEcdf | ReferenceDistribution
     variant: Variant = Variant.ROBUST
 
     def __post_init__(self):

@@ -20,7 +20,6 @@ from .models import (
     RobustFit,
     ScenarioKind,
     default_grids,
-    family_spec,
     standardized_residuals,
 )
 from .robust import (
@@ -140,41 +139,31 @@ def generate(scenario: ScenarioSpec, contamination: ContaminationScheme = CLEAN,
 
     kind = contamination.kind
     s_val = contamination.shift_s
-    sig_d = scenario.sigma(Group.DISEASED)
-    sig_h = scenario.sigma(Group.HEALTHY)
-    for group in (Group.DISEASED, Group.HEALTHY):
-        n = scenario.n_D if group is Group.DISEASED else scenario.n_H
-        m = math.floor(n * contamination.delta)
-        x, y = data[group]
+    for group, (x, y) in data.items():
+        m = math.floor(y.size * contamination.delta)
         if m == 0 or kind is ContaminationKind.NONE:
             continue
+        sig = scenario.sigma(group)
         if kind is ContaminationKind.SHIFT_HEALTHY:
             if group is not Group.HEALTHY:
                 continue
-            y[:m] = 0.5 + x[:m] + s_val * sig_h + sig_h * rng.standard_normal(m)
+            y[:m] = scenario.mu(group, x[:m]) + s_val * sig + sig * rng.standard_normal(m)
         elif kind is ContaminationKind.SHIFT_DISEASED:
             if group is not Group.DISEASED:
                 continue
-            if contamination.diseased_line:
-                y[:m] = 2.0 + 4.0 * x[:m] + s_val * sig_d + sig_d * rng.standard_normal(m)
-            else:
-                # as printed: healthy line with the diseased scale
-                y[:m] = 0.5 + x[:m] + s_val * sig_d + sig_d * rng.standard_normal(m)
+            # as printed: the healthy line with the diseased scale, unless
+            # diseased_line asks for the diseased line
+            line = Group.DISEASED if contamination.diseased_line else Group.HEALTHY
+            y[:m] = scenario.mu(line, x[:m]) + s_val * sig + sig * rng.standard_normal(m)
         elif kind is ContaminationKind.SHIFT_BOTH:
-            if group is Group.DISEASED:
-                y[:m] = 2.0 + 4.0 * x[:m] + 20.0 * sig_d + sig_d * rng.standard_normal(m)
-            else:
-                y[:m] = 0.5 + x[:m] + 15.0 * sig_h + sig_h * rng.standard_normal(m)
+            shift = 20.0 if group is Group.DISEASED else 15.0
+            y[:m] = scenario.mu(group, x[:m]) + shift * sig + sig * rng.standard_normal(m)
         elif kind is ContaminationKind.NONLINEAR_SHIFT:
             x[:m] = rng.uniform(0.49, 0.5, size=m)
             z = s_val + rng.normal(0.0, 0.01, size=m)
             y[:m] = scenario.mu(group, x[:m]) + z + 0.01 * rng.standard_normal(m)
 
-    sample_d = PopulationSample(Group.DISEASED, data[Group.DISEASED][1],
-                                data[Group.DISEASED][0])
-    sample_h = PopulationSample(Group.HEALTHY, data[Group.HEALTHY][1],
-                                data[Group.HEALTHY][0])
-    return sample_d, sample_h
+    return tuple(PopulationSample(group, y, x) for group, (x, y) in data.items())
 
 
 def true_surface(scenario: ScenarioSpec, grid: EvalGrid) -> RocSurface:
@@ -274,7 +263,7 @@ def run_campaign(scenario: ScenarioSpec, contamination: ContaminationScheme,
                for v in variants}
 
     family = scenario.model.family
-    spec = family_spec(family)
+    spec = RegressionSpec(family)
     if weights is None:
         weights = hard_rejection() if family is Family.LINEAR else smooth_polynomial()
     if mm is None:

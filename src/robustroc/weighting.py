@@ -10,19 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .models import ResidualSet
 
-Residuals = Union[ResidualSet, np.ndarray]
-
-
-def _as_array(residuals: Residuals) -> np.ndarray:
-    if isinstance(residuals, ResidualSet):
-        return residuals.r
+def _as_array(residuals: np.ndarray) -> np.ndarray:
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("residuals must be nonempty")
@@ -87,33 +81,31 @@ def standard_normal_reference() -> ReferenceDistribution:
     return normal_reference(1.0)
 
 
-def atypicality_dn(residuals: Residuals, ref: ReferenceDistribution) -> float:
-    """Largest positive gap between the reference absolute-value CDF and the
-    empirical absolute-residual CDF, evaluated over the order statistics:
-    d_n = max_i max(Gplus(|r|_(i)) - (i-1)/n, 0)."""
-    a = np.sort(np.abs(_as_array(residuals)))
-    n = a.size
-    gaps = ref.abs_cdf(a) - np.arange(n) / n
+def _dn_sorted(a: np.ndarray, ref: ReferenceDistribution) -> float:
+    """`atypicality_dn` of the sorted absolute residuals a."""
+    gaps = ref.abs_cdf(a) - np.arange(a.size) / a.size
     return float(max(np.max(gaps), 0.0))
 
 
-def adaptive_cutoff(residuals: Residuals, ref: ReferenceDistribution,
+def atypicality_dn(residuals: np.ndarray, ref: ReferenceDistribution) -> float:
+    """Largest positive gap between the reference absolute-value CDF and the
+    empirical absolute-residual CDF, evaluated over the order statistics:
+    d_n = max_i max(Gplus(|r|_(i)) - (i-1)/n, 0)."""
+    return _dn_sorted(np.sort(np.abs(_as_array(residuals))), ref)
+
+
+def adaptive_cutoff(residuals: np.ndarray, ref: ReferenceDistribution,
                     eta: float) -> tuple[float, float, float]:
     """Returns (t_bar_n, t_n, d_n) with i_n = n - floor(n * d_n), t_bar_n the
     i_n-th absolute-residual order statistic (0 when i_n = 0) and
     t_n = max(t_bar_n, eta)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    r = _as_array(residuals)
-    n = r.size
-    d_n = atypicality_dn(r, ref)
+    a = np.sort(np.abs(_as_array(residuals)))
+    n = a.size
+    d_n = _dn_sorted(a, ref)
     i_n = n - math.floor(n * d_n)
-    if i_n <= 0:
-        t_bar = 0.0
-    else:
-        # stable sort: ties broken by original index
-        order = np.argsort(np.abs(r), kind="stable")
-        t_bar = float(np.abs(r[order[i_n - 1]]))
+    t_bar = float(a[i_n - 1]) if i_n > 0 else 0.0
     return t_bar, max(t_bar, eta), d_n
 
 
@@ -158,7 +150,7 @@ class WeightedEcdf:
         return self.r_sorted[np.minimum(idx, self.r_sorted.size - 1)]
 
 
-def build_weighted_ecdf(residuals: Residuals, w: WeightFunction,
+def build_weighted_ecdf(residuals: np.ndarray, w: WeightFunction,
                         ref: ReferenceDistribution, eta: float = 2.5) -> WeightedEcdf:
     """Weights w_i = w(r_i / t_n) with the adaptive cut-off t_n, then
     Ghat(t) = sum w_i 1{r_i <= t} / sum w_i."""
@@ -172,7 +164,7 @@ def build_weighted_ecdf(residuals: Residuals, w: WeightFunction,
     )
 
 
-def plain_ecdf(residuals: Residuals) -> WeightedEcdf:
+def plain_ecdf(residuals: np.ndarray) -> WeightedEcdf:
     """Classical unweighted ECDF in the same step-function/quantile conventions."""
     r = _as_array(residuals)
     order = np.argsort(r, kind="stable")

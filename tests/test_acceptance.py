@@ -31,7 +31,7 @@ from robustroc import (
     standard_normal_reference,
     true_surface,
 )
-from robustroc import ConditionalRocModel, FitMethod, RobustFit, linear_spec
+from robustroc import ConditionalRocModel, Family, FitMethod, RegressionSpec, RobustFit
 from robustroc.cli import main as cli_main
 
 
@@ -40,7 +40,7 @@ def true_linear_model():
     g = standard_normal_reference()
 
     def fit(beta, sigma):
-        return RobustFit(spec=linear_spec(1, intercept=True),
+        return RobustFit(spec=RegressionSpec(Family.LINEAR),
                          beta_hat=np.asarray(beta), sigma_hat=sigma,
                          method=FitMethod.MM_LINEAR)
 

@@ -34,3 +34,27 @@ def test_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_names_the_benchmark_looks_up():
+    # perfbench/workloads.py builds its workloads from these names and wraps
+    # its timing spans around the functions where their callers look them up:
+    # the campaign's steps on robustroc.simulate, the commands' steps on
+    # robustroc.cli, and m_scale on robustroc.robust. The tracer skips a
+    # caller's name that is gone without an error, so a simplification that
+    # moved one would silently blind the benchmark's per-layer metrics.
+    import robustroc.cli
+    import robustroc.robust
+    import robustroc.simulate
+
+    assert callable(robustroc.robust.m_scale)
+    for name in ("generate", "fit_mm_linear", "fit_mm_nonlinear", "fit_least_squares",
+                 "standardized_residuals", "build_weighted_ecdf", "plain_ecdf",
+                 "roc_surface", "auc_curve", "true_surface", "mse_metric", "ks_metric"):
+        assert callable(getattr(robustroc.simulate, name)), name
+    for name in ("main", "cmd_fit", "cmd_roc", "load_config", "read_dataset",
+                 "write_surface_csv"):
+        assert callable(getattr(robustroc.cli, name)), name
+    kind = robustroc.ScenarioKind("nonlinear")
+    assert robustroc.ScenarioSpec(model=kind).model is kind
+    assert robustroc.default_grids(kind).x_grid.size == 21

@@ -9,8 +9,11 @@ import pytest
 from scipy.stats import norm
 
 from robustroc import (
+    DatasetFormatError,
+    EvalGrid,
     Group,
     PopulationSample,
+    RocSurface,
     ScenarioKind,
     ScenarioSpec,
     fit_mm_nonlinear,
@@ -19,7 +22,20 @@ from robustroc import (
     write_dataset,
 )
 from robustroc import config
-from robustroc.cli import main, read_surface_csv
+from robustroc.cli import main
+
+
+def read_surface_csv(path) -> RocSurface:
+    """The surface `write_surface_csv` wrote: p values in the header after
+    'x', then one row per x value."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][0] != "x":
+        raise DatasetFormatError("line 1: surface header must start with 'x'")
+    p = np.array([float(c) for c in rows[0][1:]])
+    x = np.array([float(r[0]) for r in rows[1:]])
+    values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    return RocSurface(grid=EvalGrid(p_grid=p, x_grid=x), values=values)
 
 
 def _clean_dataset(tmp_path, n=200, seed=0, name="data.csv"):
@@ -160,6 +176,40 @@ class TestExitCodes:
         assert _run(["roc", data, "--config", ini, "--out", tmp_path]) == 1
         assert "robustroc: error: [grids] p_count" in capsys.readouterr().err
         assert _run(["fit", data, "--config", ini, "--out", tmp_path]) == 0
+
+    @staticmethod
+    def _two_covariate_dataset(tmp_path):
+        rng = np.random.default_rng(8)
+        samples = []
+        for group in (Group.DISEASED, Group.HEALTHY):
+            x = rng.uniform(0, 1, (40, 2))
+            y = np.exp(1 + x[:, 0] - x[:, 1]) + 0.1 * rng.standard_normal(40)
+            samples.append(PopulationSample(group, y, x))
+        path = tmp_path / "two.csv"
+        write_dataset(path, *samples)
+        return path
+
+    @pytest.mark.parametrize("command, model, message", [
+        ("roc", "linear", "roc evaluates the ROC surface over one covariate, "
+                          "the dataset has 2"),
+        ("roc", "exponential", "roc evaluates the ROC surface over one covariate, "
+                               "the dataset has 2"),
+        ("fit", "exponential", "fit: the exponential family takes one covariate, "
+                               "found 2"),
+    ], ids=["roc-linear", "roc-exponential", "fit-exponential"])
+    def test_covariate_count_is_a_usage_error(self, tmp_path, capsys, command, model,
+                                              message):
+        # a usage error found right after the dataset loads, before any fit
+        path = self._two_covariate_dataset(tmp_path)
+        assert _run([command, path, "--model", model, "--out", tmp_path]) == 1
+        assert f"robustroc: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.json")) == []
+
+    def test_linear_fit_takes_two_covariates(self, tmp_path):
+        path = self._two_covariate_dataset(tmp_path)
+        assert _run(["fit", path, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert len(report["diseased"]["beta_hat"]) == 3
 
     def test_success(self, tmp_path):
         data = _clean_dataset(tmp_path, n=50)

@@ -4,21 +4,21 @@ import pytest
 
 from robustroc import (
     EvalGrid,
+    Family,
     FitMethod,
     Group,
     PopulationSample,
+    RegressionSpec,
     RobustFit,
     ScenarioKind,
     default_grids,
     design_matrix,
-    exponential_spec,
-    linear_spec,
     standardized_residuals,
 )
 
 
 def _linear_fit(beta, sigma):
-    return RobustFit(spec=linear_spec(1, intercept=True), beta_hat=np.asarray(beta),
+    return RobustFit(spec=RegressionSpec(Family.LINEAR), beta_hat=np.asarray(beta),
                      sigma_hat=sigma, method=FitMethod.MM_LINEAR)
 
 
@@ -48,18 +48,27 @@ class TestPopulationSample:
 
 class TestRegressionSpecs:
     def test_linear_with_intercept(self):
-        spec = linear_spec(1, intercept=True)
+        spec = RegressionSpec(Family.LINEAR)
         assert spec.coef_dim == 2
         np.testing.assert_allclose(spec.predict([1.0, 2.0], [1.0, 2.0]),
                                    [3.0, 5.0])
+        np.testing.assert_array_equal(spec.gradient(np.array([[1.0], [2.0]]), None),
+                                      [[1.0, 1.0], [1.0, 2.0]])
+
+    def test_linear_coef_dim_counts_covariates(self):
+        spec = RegressionSpec(Family.LINEAR, covariate_dim=3)
+        assert spec.coef_dim == 4
+        np.testing.assert_allclose(spec.predict([[1.0, 2.0, 3.0]], [1.0, 1.0, 2.0, 3.0]),
+                                   [15.0])
 
     def test_linear_without_intercept(self):
-        spec = linear_spec(1, intercept=False)
+        spec = RegressionSpec(Family.LINEAR, intercept=False)
         assert spec.coef_dim == 1
         np.testing.assert_allclose(spec.predict([2.0], [3.0]), [6.0])
 
     def test_exponential_eval_and_gradient(self):
-        spec = exponential_spec()
+        spec = RegressionSpec(Family.EXPONENTIAL)
+        assert spec.coef_dim == 2 and not spec.intercept
         x = np.array([[0.0], [1.0]])
         np.testing.assert_allclose(spec.predict(x, [5.0, 2.0]),
                                    [5.0, 5.0 * np.e ** 2])
@@ -67,12 +76,17 @@ class TestRegressionSpecs:
         np.testing.assert_allclose(grad[0], [1.0, 0.0])
         np.testing.assert_allclose(grad[1], [np.e ** 2, 5.0 * np.e ** 2])
 
+    def test_exponential_takes_one_covariate(self):
+        with pytest.raises(ValueError, match="exponential family takes one covariate, "
+                                             "found 2"):
+            RegressionSpec(Family.EXPONENTIAL, covariate_dim=2)
+
     def test_design_matrix(self):
         X = design_matrix([1.0, 2.0], intercept=True)
         np.testing.assert_allclose(X, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_dimension_mismatch(self):
-        spec = linear_spec(1, intercept=True)
+        spec = RegressionSpec(Family.LINEAR)
         with pytest.raises(ValueError, match="dimension"):
             spec.predict(np.ones((3, 2)), [1.0, 2.0])
 
@@ -82,12 +96,12 @@ class TestStandardizedResiduals:
         # y = 3 at x = 1 under intercept 1, slope 2, sigma 1
         s = PopulationSample(Group.HEALTHY, [3.0], [1.0])
         res = standardized_residuals(s, _linear_fit([1.0, 2.0], 1.0))
-        np.testing.assert_allclose(res.r, [0.0])
+        np.testing.assert_allclose(res, [0.0])
 
     def test_scale_division(self):
         s = PopulationSample(Group.HEALTHY, [5.0], [1.0])
         res = standardized_residuals(s, _linear_fit([1.0, 2.0], 2.0))
-        np.testing.assert_allclose(res.r, [1.0])
+        np.testing.assert_allclose(res, [1.0])
 
     def test_model_inversion(self):
         # y generated at the true healthy parameters recovers the error draw
@@ -95,7 +109,7 @@ class TestStandardizedResiduals:
         y = 0.5 + 1.0 * 0.3 + 1.5 * z
         s = PopulationSample(Group.HEALTHY, [y], [0.3])
         res = standardized_residuals(s, _linear_fit([0.5, 1.0], 1.5))
-        np.testing.assert_allclose(res.r, [z])
+        np.testing.assert_allclose(res, [z])
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(5)
@@ -105,11 +119,23 @@ class TestStandardizedResiduals:
         base = standardized_residuals(PopulationSample(Group.HEALTHY, y, x), fit)
         shifted = standardized_residuals(
             PopulationSample(Group.HEALTHY, y + 3.0 * 1.5, x), fit)
-        np.testing.assert_allclose(shifted.r, base.r + 3.0)
+        np.testing.assert_allclose(shifted, base + 3.0)
+
+    def test_read_only(self):
+        s = PopulationSample(Group.HEALTHY, [5.0, 1.0], [1.0, 0.0])
+        res = standardized_residuals(s, _linear_fit([1.0, 2.0], 2.0))
+        with pytest.raises(ValueError):
+            res[0] = 0.0
+
+    def test_non_finite_refused(self):
+        # a finite sample and fit whose residuals overflow
+        s = PopulationSample(Group.HEALTHY, [1e300, -1e300], [0.0, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            standardized_residuals(s, _linear_fit([0.0, 0.0], 1e-10))
 
     def test_degenerate_scale_refused(self):
         s = PopulationSample(Group.HEALTHY, [3.0], [1.0])
-        fit = RobustFit(spec=linear_spec(1, intercept=True),
+        fit = RobustFit(spec=RegressionSpec(Family.LINEAR),
                         beta_hat=np.array([1.0, 2.0]), sigma_hat=0.0,
                         method=FitMethod.MM_LINEAR, degenerate_scale=True)
         with pytest.raises(ValueError, match="degenerate"):

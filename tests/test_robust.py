@@ -14,23 +14,25 @@ from robustroc import (
     ContaminationKind,
     ContaminationScheme,
     DegenerateScaleWarning,
+    Family,
     Group,
     MMConfig,
     PopulationSample,
+    RegressionSpec,
     ScenarioKind,
     ScenarioSpec,
     bisquare_rho,
     bisquare_weight,
-    exponential_spec,
     fit_least_squares,
     fit_mm_linear,
     fit_mm_nonlinear,
     generate,
-    linear_spec,
     m_scale,
 )
 
 CFG = MMConfig()
+LINEAR_SPEC = RegressionSpec(Family.LINEAR)
+EXP_SPEC = RegressionSpec(Family.EXPONENTIAL)
 # 1 / Phi^-1(3/4): the screen starts each row's scale solve at this multiple
 # of `_scale_start`
 CONSISTENT = 1.482602218505602
@@ -501,14 +503,14 @@ class TestFitMMNonlinear:
         x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x), x)
         with pytest.warns(DegenerateScaleWarning):
-            fit = fit_mm_nonlinear(s, exponential_spec(), CFG)
+            fit = fit_mm_nonlinear(s, EXP_SPEC, CFG)
         assert fit.degenerate_scale
         np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=1e-6)
 
     def test_clean_data_near_truth(self):
         errs = []
         for seed in range(50):
-            fit = fit_mm_nonlinear(_exp_sample(seed), exponential_spec(),
+            fit = fit_mm_nonlinear(_exp_sample(seed), EXP_SPEC,
                                    MMConfig(seed=seed))
             errs.append(np.max(np.abs(fit.beta_hat - [5.0, 2.0])))
         assert np.median(errs) < 0.2
@@ -517,9 +519,8 @@ class TestFitMMNonlinear:
         mm_err, ls_err = [], []
         for seed in range(50):
             s = _exp_sample(seed, shift=10.0)
-            fit = fit_mm_nonlinear(s, exponential_spec(), MMConfig(seed=seed))
-            ls = fit_least_squares(s, exponential_spec(),
-                                   beta_init=np.array([4.0, 1.5]))
+            fit = fit_mm_nonlinear(s, EXP_SPEC, MMConfig(seed=seed))
+            ls = fit_least_squares(s, EXP_SPEC)
             mm_err.append(np.max(np.abs(fit.beta_hat - [5.0, 2.0])))
             ls_err.append(abs(ls.beta_hat[0] - 5.0))
         assert np.median(mm_err) < 0.3
@@ -534,44 +535,35 @@ class TestFitMMNonlinear:
             s = _exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
             moved = PopulationSample(s.label, s.y, s.x + a)
             if fit == "mm":
-                f0, f1 = [fit_mm_nonlinear(t, exponential_spec(), MMConfig(seed=seed))
+                f0, f1 = [fit_mm_nonlinear(t, EXP_SPEC, MMConfig(seed=seed))
                           for t in (s, moved)]
             else:
-                f0, f1 = [fit_least_squares(t, exponential_spec()) for t in (s, moved)]
+                f0, f1 = [fit_least_squares(t, EXP_SPEC) for t in (s, moved)]
             assert f1.beta_hat[0] * np.exp(f1.beta_hat[1] * a) == pytest.approx(
                 f0.beta_hat[0], rel=1e-12)
             assert f1.beta_hat[1] == pytest.approx(f0.beta_hat[1], rel=1e-12)
             assert f1.sigma_hat == pytest.approx(f0.sigma_hat, rel=1e-12)
 
-    def test_requires_gradient(self):
-        from robustroc import Family, RegressionSpec
-
-        spec = RegressionSpec(family=Family.EXPONENTIAL, coef_dim=1,
-                              eval=lambda x, b: b[0] * x[:, 0])
-        s = PopulationSample(Group.DISEASED, [1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="gradient"):
-            fit_mm_nonlinear(s, spec, CFG)
-
     def test_requires_exponential_family(self):
         s = PopulationSample(Group.DISEASED, [1.0, 2.0, 4.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="exponential family"):
-            fit_mm_nonlinear(s, linear_spec(1, intercept=True), CFG)
+            fit_mm_nonlinear(s, LINEAR_SPEC, CFG)
 
     def test_too_few_observations(self):
         s = PopulationSample(Group.DISEASED, [1.0, 2.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="observations"):
-            fit_mm_nonlinear(s, exponential_spec(), CFG)
+            fit_mm_nonlinear(s, EXP_SPEC, CFG)
 
     def test_constant_covariate(self):
         s = PopulationSample(Group.DISEASED, [1.0, 2.0, 3.0, 4.0], [0.5] * 4)
         with pytest.raises(ValueError, match="constant covariate"):
-            fit_mm_nonlinear(s, exponential_spec(), CFG)
+            fit_mm_nonlinear(s, EXP_SPEC, CFG)
 
     def test_no_finite_pair(self):
         # the one pair of equal sign shares its x; the others change sign
         s = PopulationSample(Group.DISEASED, [1.0, 2.0, -1.0], [0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="no elemental pair"):
-            fit_mm_nonlinear(s, exponential_spec(), CFG)
+            fit_mm_nonlinear(s, EXP_SPEC, CFG)
 
     @pytest.mark.parametrize("rep, population", [(107, 1), (136, 0)])
     def test_m_stage_converges_at_the_optimum(self, rep, population):
@@ -584,7 +576,7 @@ class TestFitMMNonlinear:
         rng = np.random.default_rng([101, rep])
         samples = generate(scenario, scheme, rng)
         seeds = [int(rng.integers(2 ** 63)) for _ in samples]
-        fit = fit_mm_nonlinear(samples[population], exponential_spec(),
+        fit = fit_mm_nonlinear(samples[population], EXP_SPEC,
                                MMConfig(seed=seeds[population]))
         assert fit.converged and fit.iterations < CFG.max_iter
 
@@ -627,7 +619,7 @@ class TestFitMMNonlinear:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 fits.append(fit_mm_nonlinear(PopulationSample(Group.DISEASED, y_bad, x),
-                                             exponential_spec(), MMConfig(seed=1)))
+                                             EXP_SPEC, MMConfig(seed=1)))
         moderate, gross = fits
         assert gross.converged and not gross.degenerate_scale
         assert gross.sigma_hat == pytest.approx(moderate.sigma_hat, rel=1e-9)
@@ -639,7 +631,7 @@ class TestFitMMNonlinear:
         betas, R, _ = robust._exponential_pairs(x, y, 500, np.random.default_rng(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_mm_nonlinear(sample, exponential_spec(), MMConfig(seed=4))
+            fit = fit_mm_nonlinear(sample, EXP_SPEC, MMConfig(seed=4))
         assert np.max(np.abs(fit.beta_hat - truth)) < 0.5
         return betas, R
 
@@ -675,7 +667,7 @@ class TestElementalPairs:
                 at = pairs[:, col]
                 assert np.all(np.abs(R[rows, at]) <= 1e-9 * np.abs(y[at]))
             # the residuals are those of the betas, as the refinement sees them
-            spec = exponential_spec()
+            spec = EXP_SPEC
             for b, r in zip(betas[:20], R[:20]):
                 assert np.array_equal(r, y - spec.predict(sample.x, b))
 
@@ -724,7 +716,7 @@ class TestCandidateMemory:
             peak = self._peak(fit_mm_linear, sample, True, cfg)
         else:
             sample = _exp_sample(1, n=self.N, shift=10.0)
-            peak = self._peak(fit_mm_nonlinear, sample, exponential_spec(), cfg)
+            peak = self._peak(fit_mm_nonlinear, sample, EXP_SPEC, cfg)
         assert peak <= 1.6 * self.M * self.N * 8
 
     def test_screen_copies_no_residual_matrix(self):
@@ -740,18 +732,17 @@ class TestFitLeastSquares:
     def test_exact_linear(self):
         x = np.array([0.0, 1.0, 2.0])
         s = PopulationSample(Group.HEALTHY, 1 + 2 * x, x)
-        fit = fit_least_squares(s, linear_spec(1, intercept=True))
+        fit = fit_least_squares(s, LINEAR_SPEC)
         np.testing.assert_allclose(fit.beta_hat, [1.0, 2.0], atol=1e-12)
         assert fit.sigma_hat == 0.0 and fit.degenerate_scale
         # the floor follows the size of y, not its spread: a large offset
         # leaves residuals of its rounding
         x = np.linspace(0.0, 1.0, 50)
         s = PopulationSample(Group.HEALTHY, 1e6 + 1e-3 * x, x)
-        fit = fit_least_squares(s, linear_spec(1, intercept=True))
+        fit = fit_least_squares(s, LINEAR_SPEC)
         assert fit.sigma_hat == 0.0 and fit.degenerate_scale
 
-    @pytest.mark.parametrize("spec", [linear_spec(1, intercept=True),
-                                      exponential_spec()],
+    @pytest.mark.parametrize("spec", [LINEAR_SPEC, EXP_SPEC],
                              ids=["linear", "exponential"])
     def test_too_few_observations(self, spec):
         # n = q leaves no degree of freedom for sigma: the same check and
@@ -760,28 +751,36 @@ class TestFitLeastSquares:
         with pytest.raises(ValueError, match="need more than q = 2 observations"):
             fit_least_squares(s, spec)
 
-    def test_exponential_starts_log_linear(self):
-        # without beta_init, the start is the least-squares line of log y on x
+    def test_exponential_starts_log_linear(self, monkeypatch):
+        # the descent starts at the least-squares line of log y on x, in the
+        # centred covariate
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, 80)
         s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x)
                              + 0.1 * rng.standard_normal(80), x)
-        fit = fit_least_squares(s, exponential_spec())
-        given = fit_least_squares(s, exponential_spec(),
-                                  beta_init=robust._initial_beta_exponential(s))
-        assert np.array_equal(fit.beta_hat, given.beta_hat)
+        starts = []
+
+        def spy(y, f, J, beta, *args, **kwargs):
+            starts.append(beta)
+            return descend(y, f, J, beta, *args, **kwargs)
+
+        descend = robust._descend
+        monkeypatch.setattr(robust, "_descend", spy)
+        fit = fit_least_squares(s, EXP_SPEC)
+        log_linear = robust._shift_exponential(robust._initial_beta_exponential(s),
+                                               -float(np.mean(s.x)))
+        assert len(starts) == 1 and np.array_equal(starts[0], log_linear)
         np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=0.1)
 
     def test_exponential_constant_covariate(self):
         s = PopulationSample(Group.DISEASED, [1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="distinct covariate"):
-            fit_least_squares(s, exponential_spec())
+            fit_least_squares(s, EXP_SPEC)
 
     def test_exact_exponential(self):
         x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x), x)
-        fit = fit_least_squares(s, exponential_spec(),
-                                beta_init=np.array([4.0, 1.5]))
+        fit = fit_least_squares(s, EXP_SPEC)
         np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=1e-8)
 
     def test_sigma_uses_dof_denominator(self):
@@ -789,15 +788,26 @@ class TestFitLeastSquares:
         x = rng.uniform(-1, 1, 50)
         y = 1 + 2 * x + rng.standard_normal(50)
         fit = fit_least_squares(PopulationSample(Group.HEALTHY, y, x),
-                                linear_spec(1, intercept=True))
+                                LINEAR_SPEC)
         X = np.column_stack([np.ones(50), x])
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ beta
         assert fit.sigma_hat == pytest.approx(
             np.sqrt(np.sum(resid ** 2) / 48), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", [linear_spec(1, intercept=True),
-                                      exponential_spec()],
+    @pytest.mark.parametrize("spec", [LINEAR_SPEC, EXP_SPEC],
+                             ids=["linear", "exponential"])
+    def test_sigma_is_rms_of_predicted_residuals(self, spec):
+        # sigma_hat is the n - q root mean square of y - fit.predict(x): the
+        # residuals behind the scale are those of the spec's own predictions
+        for seed, shift in ((0, None), (1, 10.0), (2, None)):
+            s = _exp_sample(seed, n=80, shift=shift)
+            fit = fit_least_squares(s, spec)
+            r = s.y - fit.predict(s.x)
+            assert fit.sigma_hat == pytest.approx(
+                np.sqrt(np.sum(r ** 2) / (s.n - spec.coef_dim)), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [LINEAR_SPEC, EXP_SPEC],
                              ids=["linear", "exponential"])
     def test_huge_markers_scale_without_overflow(self, spec):
         # sigma comes from r / max|r|: at y * 1e300 no square overflows
@@ -816,9 +826,9 @@ class TestFitLeastSquares:
         for seed in range(10):
             for shift in (None, 10.0):
                 s = _exp_sample(seed, n=100, shift=shift)
-                fit = fit_least_squares(s, exponential_spec())
+                fit = fit_least_squares(s, EXP_SPEC)
                 r = s.y - fit.predict(s.x)
-                J = exponential_spec().gradient(s.x, fit.beta_hat)
+                J = EXP_SPEC.gradient(s.x, fit.beta_hat)
                 cos = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0)
                                          * np.linalg.norm(r))
                 assert fit.converged and np.max(cos) < 1e-8
@@ -941,7 +951,7 @@ class TestFastMScale:
         scheme = (ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, delta=0.05,
                                       shift_s=10.0) if contaminated
                   else ContaminationScheme(ContaminationKind.NONE))
-        spec = exponential_spec()
+        spec = EXP_SPEC
         for seed in range(3):
             scenario = ScenarioSpec(ScenarioKind.NONLINEAR, 100, 100, seed=seed)
             for sample in generate(scenario, scheme, np.random.default_rng(seed)):
@@ -1127,7 +1137,7 @@ def _family_sample(family, seed, scale=1.0):
 def _family_fit(family, sample, cfg):
     if family == "linear":
         return fit_mm_linear(sample, intercept=True, cfg=cfg)
-    return fit_mm_nonlinear(sample, exponential_spec(), cfg)
+    return fit_mm_nonlinear(sample, EXP_SPEC, cfg)
 
 
 def _family_curve(family, x):
@@ -1137,7 +1147,7 @@ def _family_curve(family, x):
         X = robust.design_matrix(x, True)
         return (lambda beta: X @ beta), (lambda beta: X)
     x = x - np.mean(x)
-    spec = exponential_spec()
+    spec = EXP_SPEC
     return (lambda beta: spec.predict(x, beta)), (lambda beta: spec.gradient(x, beta))
 
 
@@ -1379,10 +1389,10 @@ class TestDescent:
             sample = _exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
             inside[0] = 0
             outside.clear()
-            assert fit_least_squares(sample, exponential_spec()).converged
+            assert fit_least_squares(sample, EXP_SPEC).converged
             assert inside[0] > 0 and not any(outside)
         inside[0] = 0
-        fit_mm_nonlinear(sample, exponential_spec(), MMConfig(seed=1))
+        fit_mm_nonlinear(sample, EXP_SPEC, MMConfig(seed=1))
         assert any(outside)
 
     @pytest.mark.parametrize("p, intercept", [(2, True), (1, False)],
@@ -1446,9 +1456,9 @@ class TestDescent:
         c = (-1.0 if negative else 1.0) * 10.0 ** log_c
         s = _exp_sample(seed, n=100, shift=10.0 if contaminated else None)
         cfg = MMConfig(seed=seed)
-        fit = fit_mm_nonlinear(s, exponential_spec(), cfg)
+        fit = fit_mm_nonlinear(s, EXP_SPEC, cfg)
         scaled = fit_mm_nonlinear(PopulationSample(s.label, c * s.y, s.x),
-                                  exponential_spec(), cfg)
+                                  EXP_SPEC, cfg)
         assert scaled.beta_hat[0] / c == pytest.approx(fit.beta_hat[0], rel=1e-12)
         assert scaled.beta_hat[1] == pytest.approx(fit.beta_hat[1], rel=1e-12)
         assert scaled.sigma_hat / abs(c) == pytest.approx(fit.sigma_hat, rel=1e-12)
@@ -1464,8 +1474,8 @@ class TestDescent:
         if fit.startswith("mm"):
             fits = [_family_fit(family, s_, MMConfig(seed=1)) for s_ in (sample, tiny)]
         else:
-            spec = (linear_spec(1, intercept=True) if family == "linear"
-                    else exponential_spec())
+            spec = (LINEAR_SPEC if family == "linear"
+                    else EXP_SPEC)
             fits = [fit_least_squares(s_, spec) for s_ in (sample, tiny)]
         unit, scaled = fits
         assert not scaled.degenerate_scale
@@ -1484,7 +1494,7 @@ def test_rank_does_not_depend_on_covariate_units(fit, scale, shift):
         unit, fitted = [fit_mm_linear(s, True, MMConfig(seed=1))
                         for s in (sample, moved)]
     else:
-        unit, fitted = [fit_least_squares(s, linear_spec(1)) for s in (sample, moved)]
+        unit, fitted = [fit_least_squares(s, LINEAR_SPEC) for s in (sample, moved)]
     if shift == 0.0:
         assert fitted.beta_hat[0] == pytest.approx(unit.beta_hat[0], rel=1e-13)
         assert fitted.beta_hat[1] * scale == pytest.approx(unit.beta_hat[1],

@@ -6,11 +6,13 @@ from scipy.stats import norm
 from robustroc import (
     ConditionalRocModel,
     EvalGrid,
+    Family,
     FitMethod,
     Group,
     MarkerTransform,
     MMConfig,
     PopulationSample,
+    RegressionSpec,
     RobustFit,
     ScenarioKind,
     Variant,
@@ -19,7 +21,6 @@ from robustroc import (
     default_grids,
     fit_mm_linear,
     hard_rejection,
-    linear_spec,
     plain_ecdf,
     roc_at,
     roc_surface,
@@ -31,7 +32,7 @@ from robustroc.simulate import fit_population, residual_distribution
 
 
 def _fit(beta, sigma):
-    return RobustFit(spec=linear_spec(1, intercept=True), beta_hat=np.asarray(beta),
+    return RobustFit(spec=RegressionSpec(Family.LINEAR), beta_hat=np.asarray(beta),
                      sigma_hat=sigma, method=FitMethod.MM_LINEAR)
 
 
@@ -168,7 +169,7 @@ class TestTransformMarker:
 def _linear_variant_model(variant, d, h, rng):
     """The campaign's linear estimator of one variant: MM seeds drawn from rng,
     D then H, and hard-rejection weights with eta = 2.5."""
-    spec = linear_spec(1, intercept=True)
+    spec = RegressionSpec(Family.LINEAR)
     samples = (d, h)
     fits = [fit_population(s, spec, variant, MMConfig(seed=int(rng.integers(2 ** 63))))
             for s in samples]

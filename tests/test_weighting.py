@@ -1,4 +1,6 @@
 """Adaptive cut-off, residual weights, weighted ECDF and weighted quantiles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -91,6 +93,20 @@ class TestAdaptiveCutoff:
         assert d_n == pytest.approx(0.4327, abs=5e-5)
         assert t_bar == pytest.approx(1.5)          # i_n = 4 - 1 = 3
         assert t_n == 2.5
+
+    def test_matches_stable_argsort_reference(self):
+        # t_bar_n is the i_n-th smallest |r| of one sort, the value a stable
+        # argsort of |r| picks, ties and signed duplicates included
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            r = np.round(3.0 * rng.standard_normal(n), int(rng.integers(0, 2)))
+            r[: n // 3] = 10.0 * rng.choice([-1.0, 1.0], n // 3)
+            d_n = atypicality_dn(r, REF)
+            i_n = n - math.floor(n * d_n)
+            order = np.argsort(np.abs(r), kind="stable")
+            t_bar = float(np.abs(r[order[i_n - 1]])) if i_n > 0 else 0.0
+            assert adaptive_cutoff(r, REF, eta=2.5) == (t_bar, max(t_bar, 2.5), d_n)
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError, match="eta"):
