@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -86,7 +87,7 @@ def _population_report(sample: PopulationSample, fit, ecdf=None) -> dict:
     a degenerate scale), its residuals, weights and cut-off."""
     report = {
         "n": sample.n,
-        "beta_hat": list(fit.beta_hat),
+        "beta_hat": fit.beta_hat.tolist(),
         "sigma_hat": fit.sigma_hat,
         "method": fit.method.value,
         "converged": fit.converged,
@@ -95,12 +96,12 @@ def _population_report(sample: PopulationSample, fit, ecdf=None) -> dict:
     if ecdf is not None:
         weights = ecdf.weights
         report.update({
-            "residuals": list(_original_order(ecdf)),
-            "weights": list(weights),
+            "residuals": _original_order(ecdf).tolist(),
+            "weights": weights.tolist(),
             "d_n": ecdf.d_n,
             "t_bar_n": _finite_or_none(ecdf.t_bar_n),
             "t_n": _finite_or_none(ecdf.t_n),
-            "flagged_outliers": [int(i) for i in np.flatnonzero(weights == 0.0)],
+            "flagged_outliers": np.flatnonzero(weights == 0.0).tolist(),
         })
     return report
 
@@ -151,13 +152,27 @@ def _eval_grid(cfg: RunConfig, x_min: float, x_max: float,
     return EvalGrid(p_grid=p, x_grid=np.linspace(lo, hi, count))
 
 
+def _template(first: str, count: int) -> str:
+    """A CSV line: `first`, then count '%.17g' cells. csv.writer writes the
+    same bytes, since '%.17g' yields no comma, quote or line break."""
+    return first + ("," + FMT) * count + "\r\n"
+
+
+def _write_table(path: Path, header: str, first: str, column,
+                 values: np.ndarray) -> None:
+    """The header line, then one line per entry of column: the entry in the
+    format `first`, then its row of values."""
+    row = _template(first, values.shape[1])
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(row % (c, *r) for c, r in zip(column, values.tolist()))
+
+
 def write_surface_csv(path: Path, surface: RocSurface) -> None:
     """Header row of p values ('x' in the corner), first column of x values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [FMT % p for p in surface.grid.p_grid])
-        for x, row in zip(surface.grid.x_grid, surface.values):
-            writer.writerow([FMT % x] + [FMT % v for v in row])
+    p = surface.grid.p_grid
+    _write_table(path, _template("x", p.size) % tuple(p.tolist()), FMT,
+                 surface.grid.x_grid.tolist(), surface.values)
 
 
 def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Path]:
@@ -183,19 +198,15 @@ def cmd_roc(dataset: str, cfg: RunConfig, out_dir: Path) -> tuple[Path, Path, Pa
     surf_path = out_dir / "roc_surface.csv"
     write_surface_csv(surf_path, surface)
     auc_path = out_dir / "auc_curve.csv"
-    with open(auc_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "auc"])
-        for x, a in zip(auc.x_grid, auc.auc):
-            writer.writerow([FMT % x, FMT % a])
+    _write_table(auc_path, "x,auc\r\n", FMT, auc.x_grid.tolist(), auc.auc[:, None])
     meta_path = out_dir / "roc_meta.json"
     _write_json(meta_path, {
         "variant": cfg.variant.value,
         "family": cfg.family.value,
         "seed": cfg.seed,
-        "diseased": {"beta_hat": list(fit_d.beta_hat), "sigma_hat": fit_d.sigma_hat,
+        "diseased": {"beta_hat": fit_d.beta_hat.tolist(), "sigma_hat": fit_d.sigma_hat,
                      "converged": fit_d.converged},
-        "healthy": {"beta_hat": list(fit_h.beta_hat), "sigma_hat": fit_h.sigma_hat,
+        "healthy": {"beta_hat": fit_h.beta_hat.tolist(), "sigma_hat": fit_h.sigma_hat,
                     "converged": fit_h.converged},
         "grid": {"p_min": cfg.p_min, "p_max": cfg.p_max, "p_count": cfg.p_count,
                  "x_min": float(grid.x_grid[0]), "x_max": float(grid.x_grid[-1]),
@@ -239,14 +250,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> Path:
             writer.writerow([variant.value, report.n_rep, FMT % res.mean_mse,
                              FMT % res.mean_ks, res.n_nonconverged])
     if cfg.keep_auc:
+        x = grid.x_grid
+        header = _template("rep", x.size) % tuple(x.tolist())
         for variant in variants:
-            res = report.variants[variant]
-            path = out_dir / f"auc_{variant.value}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["rep"] + [FMT % x for x in grid.x_grid])
-                for rep, row in enumerate(res.auc):
-                    writer.writerow([rep] + [FMT % v for v in row])
+            auc = report.variants[variant].auc
+            _write_table(out_dir / f"auc_{variant.value}.csv", header, "%d",
+                         range(len(auc)), auc)
     return metrics_path
 
 
@@ -265,7 +274,10 @@ def cmd_make_synthetic(cfg: RunConfig, out_dir: Path) -> tuple[Path, Path]:
     return data_path, idx_path
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones: parsing
+    leaves no state in it."""
     parser = _Parser(prog="robustroc",
                      description="Robust covariate-conditional ROC estimation")
     sub = parser.add_subparsers(dest="command", required=True)

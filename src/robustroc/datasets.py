@@ -34,7 +34,9 @@ def write_dataset(path: PathLike, diseased: PopulationSample,
 
 def read_dataset(path: PathLike) -> tuple[PopulationSample, PopulationSample]:
     """Parse a dataset CSV; returns (diseased, healthy). Errors cite line numbers."""
-    rows = {Group.DISEASED: ([], []), Group.HEALTHY: ([], [])}
+    from math import isfinite  # local: adds nothing to the package's import
+    # per group tag, the cells y, x1..xp of its rows, one row after another
+    cells = {Group.DISEASED.value: [], Group.HEALTHY.value: []}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,30 +59,28 @@ def read_dataset(path: PathLike) -> tuple[PopulationSample, PopulationSample]:
                     f"line {lineno}: expected {p + 2} cells, found {len(row)}"
                 )
             tag = row[0].strip()
-            if tag not in ("D", "H"):
+            dest = cells.get(tag)
+            if dest is None:
                 raise DatasetFormatError(
                     f"line {lineno}: group must be 'D' or 'H', found {tag!r}"
                 )
             try:
-                vals = [float(c) for c in row[1:]]
+                vals = list(map(float, row[1:]))
             except ValueError:
                 raise DatasetFormatError(
                     f"line {lineno}: non-numeric cell"
                 ) from None
-            if not all(np.isfinite(vals)):
+            if not all(map(isfinite, vals)):
                 raise DatasetFormatError(f"line {lineno}: non-finite value")
-            ys, xs = rows[Group(tag)]
-            ys.append(vals[0])
-            xs.append(vals[1:])
-    for group, (ys, _) in rows.items():
-        if not ys:
+            dest += vals
+    out = []
+    for group in (Group.DISEASED, Group.HEALTHY):
+        if not cells[group.value]:
             raise DatasetFormatError(
                 f"no rows for group {group.value!r}: both groups must be present"
             )
-    out = []
-    for group in (Group.DISEASED, Group.HEALTHY):
-        ys, xs = rows[group]
-        out.append(PopulationSample(group, np.asarray(ys), np.asarray(xs)))
+        table = np.array(cells[group.value]).reshape(-1, p + 1)
+        out.append(PopulationSample(group, table[:, 0], table[:, 1:]))
     return out[0], out[1]
 
 

@@ -159,11 +159,12 @@ class RobustFit:
 
 def standardized_residuals(sample: PopulationSample, fit: RobustFit) -> np.ndarray:
     """(y - f(x, beta_hat)) / sigma_hat for every observation, in order, as a
-    read-only array."""
+    read-only array. Residuals that overflow raise ValueError, not a warning."""
     if fit.degenerate_scale or fit.sigma_hat <= 0:
         raise ValueError("cannot standardize residuals with a degenerate scale")
-    r = (sample.y - fit.predict(sample.x)) / fit.sigma_hat
-    if not np.all(np.isfinite(r)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (sample.y - fit.predict(sample.x)) / fit.sigma_hat
+    if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
     r.flags.writeable = False
     return r

@@ -291,6 +291,13 @@ def _check_identifiable(n: int, q: int, rank: Optional[int] = None) -> None:
         raise ValueError("rank-deficient design matrix")
 
 
+def _check_covariates(sample: PopulationSample, spec: RegressionSpec) -> None:
+    """A spec fits samples of its own covariate dimension only."""
+    if sample.p != spec.covariate_dim:
+        raise ValueError(f"covariate dimension {sample.p} incompatible with spec "
+                         f"(expected {spec.covariate_dim})")
+
+
 def _root_mean_square(r: np.ndarray, dof: int) -> float:
     """sqrt(sum(r^2) / dof), from r / max|r| so that no square overflows."""
     m = float(np.max(np.abs(r)))
@@ -569,13 +576,15 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
     The candidates come from elemental subsets, as for nonlinear S-estimators
     (Stromberg 1993; Maronna, Martin, Yohai & Salibian-Barrera 2019): each of
     n_subsamples random pairs of distinct observations gives the curve
-    through both points (`_exponential_pairs`). Raises ValueError when
-    n <= 2, when the covariate is constant (only b1 * exp(b2 * x) is then
-    identified, not b1 and b2), and when no drawn pair has a finite exact fit.
+    through both points (`_exponential_pairs`). Raises ValueError when the
+    sample has more than one covariate, when n <= 2, when the covariate is
+    constant (only b1 * exp(b2 * x) is then identified, not b1 and b2), and
+    when no drawn pair has a finite exact fit.
     """
     if spec.family is not Family.EXPONENTIAL:
         raise ValueError("elemental-pair starts exist for the exponential family only")
     x, y = sample.x, sample.y
+    _check_covariates(sample, spec)
     _check_identifiable(sample.n, spec.coef_dim)
     if np.all(x == x[0]):
         raise ValueError("constant covariate: the exponential curve is not identified")
@@ -612,8 +621,10 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec) -> RobustF
     unit-weight, curvature-free case of `_descend` in the centred covariate,
     with the default `MMConfig` tol and max_iter, from the log-linear start
     `_initial_beta_exponential`. Raises ValueError when n <= q and when a
-    linear design is rank-deficient.
+    linear design is rank-deficient, and before fitting when the spec's
+    covariate dimension is not the sample's.
     """
+    _check_covariates(sample, spec)
     x, y = sample.x, sample.y
     n, q = sample.n, spec.coef_dim
     floor = _scale_floor(y)

@@ -17,9 +17,9 @@ def test_star_import():
     assert set(robustroc.__all__) <= set(namespace)
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats dominates a cold start; the normal CDF and quantile come
-    # from scipy.special and the trapezoid rule from numpy
+def _loaded_after_import(expression):
+    """The value of expression, printed by a fresh interpreter that ran
+    `import sys, robustroc` from this source tree."""
     import os
     import subprocess
     import sys
@@ -28,12 +28,22 @@ def test_import_leaves_out_scipy_stats():
     src = str(Path(robustroc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, robustroc; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', "
-            "'scipy.integrate'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = f"import sys, robustroc; print({expression})"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats dominates a cold start; the normal CDF and quantile come
+    # from scipy.special and the trapezoid rule from numpy
+    assert _loaded_after_import(
+        "sorted(m for m in sys.modules if m.startswith(('scipy.stats', "
+        "'scipy.integrate')))") == "[]"
+
+
+def test_import_leaves_out_cli():
+    # the command line and its parser cost nothing until a command runs
+    assert _loaded_after_import("'robustroc.cli' in sys.modules") == "False"
 
 
 def test_names_the_benchmark_looks_up():

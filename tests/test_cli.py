@@ -355,6 +355,113 @@ class TestCmdRoc:
         assert len(meta["diseased"]["beta_hat"]) == 2
 
 
+# 0, 1, the smallest subnormal and a tiny normal, with their neighbours one
+# ulp away on each side
+_SPECIAL = sorted({float(w) for v in (0.0, 1.0, 5e-324, 1e-300)
+                   for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))})
+FMT = "%.17g"
+
+
+def _csv_writer_bytes(path, header, rows):
+    """The bytes of a CSV written cell by cell through csv.writer, as the
+    exports were written before they were templated: the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("k", range(len(_SPECIAL)))
+    def test_surface_as_csv_writer(self, tmp_path, k):
+        from robustroc.cli import write_surface_csv
+
+        x, v, w = (_SPECIAL[(k + j) % len(_SPECIAL)] for j in range(3))
+        p = np.array([5e-324, np.nextafter(1.0, 0.0)])
+        surface = RocSurface(grid=EvalGrid(p_grid=p, x_grid=[x]), values=[[v, w]])
+        write_surface_csv(tmp_path / "new.csv", surface)
+        oracle = _csv_writer_bytes(
+            tmp_path / "old.csv", ["x"] + [FMT % c for c in p],
+            [[FMT % x] + [FMT % c for c in row] for row in surface.values])
+        assert (tmp_path / "new.csv").read_bytes() == oracle
+
+    def test_roc_auc_as_csv_writer(self, tmp_path, monkeypatch):
+        from robustroc import cli
+        from robustroc.roc import AucCurve
+
+        curve = AucCurve(x_grid=np.array(_SPECIAL), auc=np.array(_SPECIAL[::-1]))
+        monkeypatch.setattr(cli, "auc_curve", lambda surface: curve)
+        data = _clean_dataset(tmp_path, n=40, seed=2)
+        assert _run(["roc", data, "--out", tmp_path / "out", "--seed", "2"]) == 0
+        oracle = _csv_writer_bytes(
+            tmp_path / "old.csv", ["x", "auc"],
+            [[FMT % x, FMT % a] for x, a in zip(curve.x_grid, curve.auc)])
+        assert (tmp_path / "out" / "auc_curve.csv").read_bytes() == oracle
+
+    def test_simulate_auc_as_csv_writer(self, tmp_path, monkeypatch):
+        from robustroc import cli
+
+        campaign = cli.run_campaign
+        seen = {}
+
+        def special_campaign(*args, **kwargs):
+            report = campaign(*args, **kwargs)
+            for res in report.variants.values():
+                res.auc[...] = np.resize(_SPECIAL, res.auc.shape)
+            seen.update(report=report, grid=kwargs["grid"])
+            return report
+
+        monkeypatch.setattr(cli, "run_campaign", special_campaign)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\nn_rep = 2\nn_d = 30\nn_h = 30\n"
+                       "keep_auc = true\n[grids]\nx_min = 5e-324\nx_max = 1e-300\n"
+                       "x_count = 7\n[output]\nseed = 3\n")
+        assert _run(["simulate", "--config", ini, "--out", tmp_path / "out"]) == 0
+        for variant, res in seen["report"].variants.items():
+            oracle = _csv_writer_bytes(
+                tmp_path / "old.csv", ["rep"] + [FMT % x for x in seen["grid"].x_grid],
+                [[rep] + [FMT % v for v in row] for rep, row in enumerate(res.auc)])
+            assert (tmp_path / "out" / f"auc_{variant.value}.csv").read_bytes() == oracle
+
+
+class TestInProcessReuse:
+    """Consecutive calls of main in one process share nothing but the parser."""
+
+    def test_flags_do_not_leak(self, tmp_path, monkeypatch):
+        data = _clean_dataset(tmp_path, n=40, seed=3)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        plain = ["fit", data]
+        flagged = ["fit", data, "--seed", "12", "--variant", "classical",
+                   "--out", tmp_path / "flagged"]
+        assert _run(plain) == 0
+        first = (cwd / "fit_report.json").read_bytes()
+        (cwd / "fit_report.json").unlink()
+        assert _run(flagged) == 0
+        assert _run(plain) == 0
+        # the flags of the call before reach neither the report nor its place
+        assert (cwd / "fit_report.json").read_bytes() == first
+        report = json.loads(first)
+        assert report["seed"] == config.RunConfig().seed
+        assert report["variant"] == config.RunConfig().variant.value
+        flagged_report = json.loads((tmp_path / "flagged" / "fit_report.json").read_text())
+        assert (flagged_report["seed"], flagged_report["variant"]) == (12, "classical")
+
+    def test_exit_codes_after_a_success(self, tmp_path, capsys):
+        data = _clean_dataset(tmp_path, n=40, seed=3)
+        ok = ["fit", data, "--out", tmp_path]
+        assert _run(ok) == 0
+        assert _run(["fit", data, "--variant", "bogus", "--out", tmp_path]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert _run(["frobnicate"]) == 1
+        assert _run(["--help"]) == 0
+        assert "make-synthetic" in capsys.readouterr().out
+        assert _run(["fit"]) == 1
+        assert _run(ok) == 0
+
+
 def _strict_json(path):
     def reject(constant):
         raise ValueError(f"{path.name}: non-standard JSON constant {constant}")

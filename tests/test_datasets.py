@@ -36,6 +36,25 @@ class TestRoundTrip:
         np.testing.assert_array_equal(h2.y, h.y)
         np.testing.assert_array_equal(h2.x, h.x)
 
+    def test_cells_parse_as_float_does(self, tmp_path):
+        # every cell is float(cell), bit for bit, whatever its spelling; blank
+        # lines are skipped and tags may carry spaces
+        rows = [(" D ", "1", "-0.0", "1e-320"),
+                ("H", "  3.25", "+7", "1.7976931348623157e308"),
+                ("D", "5e-324", "12345678901234567890", "-2.5E-3 "),
+                ("H ", "0.1", "1_000", "-1e300")]
+        path = tmp_path / "data.csv"
+        path.write_text("group,y,x1,x2\n\n" + "\n\n".join(
+            ",".join(row) for row in rows) + "\n\n")
+        d, h = read_dataset(path)
+        for sample, tag in ((d, "D"), (h, "H")):
+            cells = [[float(c) for c in row[1:]] for row in rows
+                     if row[0].strip() == tag]
+            oracle = np.array(cells)
+            assert sample.y.tobytes() == oracle[:, 0].tobytes()
+            assert sample.x.tobytes() == np.ascontiguousarray(oracle[:, 1:]).tobytes()
+            assert sample.x.shape == (2, 2)
+
     def test_scenario_dataset(self, tmp_path):
         path = tmp_path / "sim.csv"
         write_dataset(path, *generate(ScenarioSpec(ScenarioKind.LINEAR, 20, 30, seed=2)))
@@ -78,6 +97,22 @@ class TestParseErrors:
         p = tmp_path / "bad.csv"
         p.write_text("group,y,x1\nD,inf,0.5\nH,1.0,0.1\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
+            read_dataset(p)
+
+    def test_nan_rejected_with_its_line(self, tmp_path):
+        # the blank line 3 counts: the nan is on line 4
+        p = tmp_path / "bad.csv"
+        p.write_text("group,y,x1\nD,1.0,0.5\n\nH,0.2,nan\nH,1.0,0.1\n")
+        with pytest.raises(DatasetFormatError,
+                           match="^line 4: non-finite value$"):
+            read_dataset(p)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a non-finite row before a non-numeric one: the error names line 2
+        p = tmp_path / "bad.csv"
+        p.write_text("group,y,x1\nD,inf,0.5\nH,abc,0.1\n")
+        with pytest.raises(DatasetFormatError,
+                           match="^line 2: non-finite value$"):
             read_dataset(p)
 
 

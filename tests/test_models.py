@@ -1,4 +1,6 @@
 """Core domain types: samples, regression specs, residuals, grids."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,11 +129,22 @@ class TestStandardizedResiduals:
         with pytest.raises(ValueError):
             res[0] = 0.0
 
+    @staticmethod
+    def _refused_silently(y, beta, sigma):
+        # a ValueError and no RuntimeWarning, whatever the warning filters
+        s = PopulationSample(Group.HEALTHY, y, [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                standardized_residuals(s, _linear_fit(beta, sigma))
+
     def test_non_finite_refused(self):
-        # a finite sample and fit whose residuals overflow
-        s = PopulationSample(Group.HEALTHY, [1e300, -1e300], [0.0, 1.0])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            standardized_residuals(s, _linear_fit([0.0, 0.0], 1e-10))
+        # a finite sample and fit whose residuals overflow in the division
+        self._refused_silently([1e300, -1e300], [0.0, 0.0], 1e-10)
+
+    def test_overflowing_difference_refused(self):
+        # a finite sample and fit whose y - f(x, beta) overflows
+        self._refused_silently([1.5e308, 1.0], [-1.5e308, 0.0], 1.0)
 
     def test_degenerate_scale_refused(self):
         s = PopulationSample(Group.HEALTHY, [3.0], [1.0])

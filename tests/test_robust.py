@@ -1,4 +1,5 @@
 """Robust (MM) and least-squares fitting, plus the M-scale of residuals."""
+import re
 import tracemalloc
 import warnings
 
@@ -507,6 +508,15 @@ class TestFitMMNonlinear:
         assert fit.degenerate_scale
         np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=1e-6)
 
+    def test_one_covariate_only(self):
+        # the spec takes x1 alone: a second covariate would be silently dropped
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (50, 2))
+        s = PopulationSample(Group.HEALTHY, 5.0 * np.exp(2.0 * x[:, 0]), x)
+        with pytest.raises(ValueError, match=r"covariate dimension 2 incompatible "
+                                             r"with spec \(expected 1\)"):
+            fit_mm_nonlinear(s, EXP_SPEC, CFG)
+
     def test_clean_data_near_truth(self):
         errs = []
         for seed in range(50):
@@ -750,6 +760,24 @@ class TestFitLeastSquares:
         s = PopulationSample(Group.HEALTHY, [1.0, 2.5], [0.0, 1.0])
         with pytest.raises(ValueError, match="need more than q = 2 observations"):
             fit_least_squares(s, spec)
+
+    @pytest.mark.parametrize("spec", [LINEAR_SPEC, RegressionSpec(Family.LINEAR, 3),
+                                      EXP_SPEC], ids=["linear-1", "linear-3",
+                                                      "exponential"])
+    def test_covariate_dimension_must_match(self, spec):
+        # a sample of two covariates: no fit with a spec of another dimension,
+        # whose coefficients, n - q and predict would not match the sample
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (50, 2))
+        s = PopulationSample(Group.HEALTHY, 1 + x @ [2.0, -1.0]
+                             + rng.standard_normal(50), x)
+        expected = (f"covariate dimension 2 incompatible with spec "
+                    f"(expected {spec.covariate_dim})")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            fit_least_squares(s, spec)
+        fit = fit_least_squares(s, RegressionSpec(Family.LINEAR, 2))
+        assert fit.beta_hat.shape == (3,)
+        assert np.all(np.isfinite(fit.predict(s.x)))
 
     def test_exponential_starts_log_linear(self, monkeypatch):
         # the descent starts at the least-squares line of log y on x, in the
