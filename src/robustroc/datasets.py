@@ -23,13 +23,15 @@ def write_dataset(path: PathLike, diseased: PopulationSample,
     if diseased.p != healthy.p:
         raise ValueError("populations must share the covariate dimension")
     p = diseased.p
+    # the bytes of csv.writer: no cell needs quoting, and '%.17g' yields no
+    # comma, quote or line break
+    row = "%s" + ",%.17g" * (p + 1) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "y"] + [f"x{j + 1}" for j in range(p)])
+        fh.write(",".join(["group", "y"] + [f"x{j + 1}" for j in range(p)]) + "\r\n")
         for sample in (diseased, healthy):
             tag = sample.label.value
-            for y, xrow in zip(sample.y, sample.x):
-                writer.writerow([tag, "%.17g" % y] + ["%.17g" % v for v in xrow])
+            fh.writelines(row % (tag, y, *xrow)
+                          for y, xrow in zip(sample.y.tolist(), sample.x.tolist()))
 
 
 def read_dataset(path: PathLike) -> tuple[PopulationSample, PopulationSample]:

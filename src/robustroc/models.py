@@ -114,14 +114,27 @@ class RegressionSpec:
         beta = np.asarray(beta, dtype=float)
         if self.family is Family.LINEAR:
             return design_matrix(x, self.intercept) @ beta
-        return beta[0] * np.exp(beta[1] * x[:, 0])
+        return exponential_curve(x[:, 0], beta)
 
     def gradient(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """d f / d beta (n, q) at the covariates x, an (n, p) array."""
         if self.family is Family.LINEAR:
             return design_matrix(x, self.intercept)
-        e = np.exp(beta[1] * x[:, 0])
-        return np.column_stack([e, beta[0] * x[:, 0] * e])
+        return exponential_jacobian(x[:, 0], beta)
+
+
+def exponential_curve(t: np.ndarray, beta) -> np.ndarray:
+    """b1 exp(b2 t) at the covariate column t."""
+    return beta[0] * np.exp(beta[1] * t)
+
+
+def exponential_jacobian(t: np.ndarray, beta) -> np.ndarray:
+    """d/d(b1, b2) of `exponential_curve` (n, 2): e^{b2 t}, b1 t e^{b2 t}."""
+    e = np.exp(beta[1] * t)
+    J = np.empty((t.size, 2))
+    J[:, 0] = e
+    np.multiply(beta[0] * t, e, out=J[:, 1])
+    return J
 
 
 def design_matrix(x: np.ndarray, intercept: bool) -> np.ndarray:

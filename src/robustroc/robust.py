@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -16,6 +15,8 @@ from .models import (
     RegressionSpec,
     RobustFit,
     design_matrix,
+    exponential_curve,
+    exponential_jacobian,
 )
 
 
@@ -384,28 +385,21 @@ def _m_objective(sigma: float, c: float):
     return criterion
 
 
-def _least_squares(r, _):
-    """Least-squares criterion of `_descend`: the root mean square of r, also
-    the unit of the stop, with unit weights and no curvature (IRLS steps)."""
-    rms = _root_mean_square(r, r.size)
-    return rms, np.ones(r.size), None, rms
-
-
 def _descend(y, f, J, beta, r, criterion, start, tol, max_iter, floor,
              stop_on_fall=False):
     """Safeguarded Newton descent of a criterion from beta, whose residuals
-    are r = y - f(beta): the one loop of every iterative fit. Returns beta,
-    its residuals, the value there, the step count and whether it converged.
+    are r = y - f(beta): the loop of both MM stages. Returns beta, its
+    residuals, the value there, the step count and whether it converged.
 
     J is the Jacobian df/dbeta: an array when it is constant (the design
     matrix of a linear fit), else a function of beta. criterion(r, value)
     gives the state (value, weights w, curvature h, unit) at residuals r from
     the current value; start stands for the value before the first state.
     With w = psi(u)/u and h = psi'(u) on one scale, a step solves
-    (J' diag(h) J) step = J'(w r) by `_solve_gram` when it can; otherwise,
-    and always when h is None, it is the IRLS step `_weighted_step(J sqrt(w),
-    r sqrt(w))`. It is halved while it raises the value by more than rounding
-    (relative `_OBJECTIVE_ROUNDING`) or makes a residual non-finite. The
+    (J' diag(h) J) step = J'(w r) by `_solve_gram` when it can; otherwise it
+    is the IRLS step `_weighted_step(J sqrt(w), r sqrt(w))`. It is halved
+    while it raises the value by more than rounding (relative
+    `_OBJECTIVE_ROUNDING`) or makes a residual non-finite. The
     descent converges when an accepted step moves the fitted values, or with
     stop_on_fall lowers the value, by less than tol * unit, or when the unit
     is at most floor (an exact fit). It gives up after max_iter steps, or
@@ -417,8 +411,7 @@ def _descend(y, f, J, beta, r, criterion, start, tol, max_iter, floor,
         while steps < max_iter and unit > floor:
             steps += 1
             A = J(beta) if callable(J) else J
-            step = None if h is None else _solve_gram(
-                A.T @ np.column_stack([A * h[:, None], w * r]))
+            step = _solve_gram(A.T @ np.column_stack([A * h[:, None], w * r]))
             if step is None:
                 sw = np.sqrt(w)
                 step = _weighted_step(A * sw[:, None], r * sw)
@@ -468,9 +461,11 @@ def _fit_mm(y, f, J, betas, R, spec, method, cfg) -> RobustFit:
                      converged=converged, iterations=steps + m_steps)
 
 
-def _curve(spec: RegressionSpec, x: np.ndarray):
-    """f and J of `_descend` for a nonlinear family at the covariates x."""
-    return partial(spec.predict, x), partial(spec.gradient, x)
+def _curve(t: np.ndarray):
+    """f and J of `_descend` for the exponential family at the covariate
+    column t, bound once: no covariate checks or reshaping per call."""
+    return (lambda beta: exponential_curve(t, beta),
+            lambda beta: exponential_jacobian(t, beta))
 
 
 def _shift_exponential(beta: np.ndarray, a: float) -> np.ndarray:
@@ -590,25 +585,93 @@ def fit_mm_nonlinear(sample: PopulationSample, spec: RegressionSpec,
         raise ValueError("constant covariate: the exponential curve is not identified")
 
     x_bar = float(np.mean(x))
-    x = x - x_bar
+    t = x[:, 0] - x_bar
     rng = np.random.default_rng(cfg.seed)
-    betas, R, _ = _exponential_pairs(x[:, 0], y, cfg.n_subsamples, rng)
+    betas, R, _ = _exponential_pairs(t, y, cfg.n_subsamples, rng)
     if betas.shape[0] == 0:
         raise ValueError("no elemental pair has a finite exact fit")
-    fit = _fit_mm(y, *_curve(spec, x), betas, R, spec, FitMethod.MM_NONLINEAR, cfg)
+    fit = _fit_mm(y, *_curve(t), betas, R, spec, FitMethod.MM_NONLINEAR, cfg)
     return replace(fit, beta_hat=_shift_exponential(fit.beta_hat, x_bar))
 
 
-def _initial_beta_exponential(sample: PopulationSample) -> np.ndarray:
-    """Log-linear start for y ~ b1 * exp(b2 * x): least squares of log y on x
-    over the positive y, which needs two of them at distinct x."""
-    mask = sample.y > 0
-    x = sample.x[mask, 0]
-    if np.unique(x).size < 2:
-        raise ValueError("exponential fits need two positive marker values "
-                         "at distinct covariate values")
-    coef = np.polynomial.polynomial.polyfit(x, np.log(sample.y[mask]), 1)
-    return np.array([np.exp(coef[0]), coef[1]])
+def _log_linear_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Start of b2 for y ~ b1 * exp(b2 * x): the slope of the least-squares
+    line of log|y| on x over the markers of the majority sign (positive on
+    a tie), which needs two of them at distinct x."""
+    pos = y > 0
+    mask = pos if 2 * np.count_nonzero(pos) >= np.count_nonzero(y) else y < 0
+    x = x[mask]
+    if x.size < 2 or x.min() == x.max():
+        raise ValueError("exponential fits need two marker values of the majority "
+                         "sign at distinct covariate values")
+    x = x - np.mean(x)
+    return float(x @ np.log(np.abs(y[mask])) / (x @ x))
+
+
+def _projection_state(b2: float, d: np.ndarray, D: np.ndarray, YD: np.ndarray):
+    """Phi(b2) = (e'y)^2 / e'e, Phi' and Phi'' in b2, and g = e'y / e'e, for
+    e = exp(b2 d), D = [1, d, d^2] (n, 3) and YD = y D. Phi does not depend
+    on the scale of e, so d may be t less any constant: the derivatives in
+    b2 are those of the same function."""
+    e = np.exp(b2 * d)
+    a0, a1, a2 = (e @ YD).tolist()        # e'y and its two derivatives
+    s0, s1, s2 = ((e * e) @ D).tolist()   # e'e, its derivatives / 2 and / 4
+    g = a0 / s0
+    g1 = (a1 - 2.0 * g * s1) / s0         # dg/db2
+    u = a1 - g * s1                       # Phi' = 2 g u
+    return a0 * g, 2.0 * g * u, 2.0 * (g1 * u + g * (a2 - g1 * s1 - 2.0 * g * s2)), g
+
+
+def _exponential_projection(t: np.ndarray, y: np.ndarray, b2: float,
+                            tol: float, max_iter: int):
+    """Least squares of y ~ b1 exp(b2 t) by variable projection (Golub &
+    Pereyra 1973): for each b2 the best b1 is e'y / e'e with e = exp(b2 t),
+    so b2 maximises the fitted sum of squares Phi(b2) = (e'y)^2 / e'e, which
+    minimises the residual sum of squares. Returns (b1, b2) in t, the step
+    count and whether the fit converged.
+
+    Newton steps in b2 from the start b2 use Phi' and Phi'' in closed form
+    (`_projection_state`); where Phi'' >= 0 the step is 1 / max|t| in the
+    sign of Phi'. A step is halved, at most `_HALVINGS` times, while it
+    lowers Phi by more than rounding (relative `_OBJECTIVE_ROUNDING`) or
+    makes it non-finite. The fit converges when an accepted step moves
+    b2 max|t|, which has no units, by at most tol, and gives up after
+    max_iter steps. It computes on y / max|y| and e / max(e), so no product
+    overflows, and b1 may have either sign."""
+    m = float(np.max(np.abs(y)))
+    ys = (y / m)[:, None]
+    lo, hi = float(t.min()), float(t.max())
+    span = max(-lo, hi)
+    # b2 t less its largest value, for b2 >= 0 and for b2 < 0: every e <= 1
+    sides = []
+    for c in (hi, lo):
+        d = t - c
+        D = np.column_stack([np.ones_like(d), d, d * d])
+        sides.append((c, d, D, ys * D))
+
+    def state(b2):
+        return _projection_state(b2, *sides[b2 < 0][1:])
+
+    steps, converged = 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, d1, d2, g = state(b2)
+        while steps < max_iter:
+            steps += 1
+            step = -d1 / d2 if d2 < 0.0 else math.copysign(1.0 / span, d1)
+            bound = phi * (1.0 - _OBJECTIVE_ROUNDING)
+            for _ in range(_HALVINGS):
+                trial = state(b2 + step)
+                if trial[0] >= bound:       # False for NaN
+                    break
+                step = step / 2.0
+            else:
+                break
+            b2, (phi, d1, d2, g) = b2 + step, trial
+            if abs(step) * span <= tol:
+                converged = True
+                break
+    c = sides[b2 < 0][0]
+    return _shift_exponential(np.array([m * g, b2]), c), steps, converged
 
 
 def fit_least_squares(sample: PopulationSample, spec: RegressionSpec) -> RobustFit:
@@ -617,12 +680,13 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec) -> RobustF
     overflow), and 0, flagged degenerate, at or below `_scale_floor(y)`.
 
     A linear fit is one `lstsq` on the design with its columns scaled by
-    `_equilibrate`, which also gives the rank. A nonlinear fit is the
-    unit-weight, curvature-free case of `_descend` in the centred covariate,
-    with the default `MMConfig` tol and max_iter, from the log-linear start
-    `_initial_beta_exponential`. Raises ValueError when n <= q and when a
-    linear design is rank-deficient, and before fitting when the spec's
-    covariate dimension is not the sample's.
+    `_equilibrate`, which also gives the rank. An exponential fit is the
+    variable projection `_exponential_projection` in the centred covariate,
+    with the default `MMConfig` tol and max_iter, from the log-linear slope
+    `_log_linear_slope`. Raises ValueError when n <= q, when a linear design
+    is rank-deficient, when an exponential fit has no two markers of the
+    majority sign at distinct covariate values, and before fitting when the
+    spec's covariate dimension is not the sample's.
     """
     _check_covariates(sample, spec)
     x, y = sample.x, sample.y
@@ -639,12 +703,10 @@ def fit_least_squares(sample: PopulationSample, spec: RegressionSpec) -> RobustF
     else:
         _check_identifiable(n, q)
         x_bar = float(np.mean(x))
-        f, J = _curve(spec, x - x_bar)
-        beta = _shift_exponential(_initial_beta_exponential(sample), -x_bar)
-        r = y - f(beta)
-        beta, r, _, iters, converged = _descend(
-            y, f, J, beta, r, _least_squares, None,
-            MMConfig.tol, MMConfig.max_iter, floor)
+        t = x[:, 0] - x_bar
+        beta, iters, converged = _exponential_projection(
+            t, y, _log_linear_slope(x[:, 0], y), MMConfig.tol, MMConfig.max_iter)
+        r = y - exponential_curve(t, beta)
         beta = _shift_exponential(beta, x_bar)
     sigma = _root_mean_square(r, n - q)
     if sigma <= floor:

@@ -261,6 +261,23 @@ class TestCmdFit:
         flagged = set(report["healthy"]["flagged_outliers"])
         assert set(study.healthy_outlier_indices.tolist()) <= flagged
 
+    def test_exponential_fits_of_negative_markers(self, tmp_path):
+        # the -1/sqrt(glucose) transform makes every marker negative: both
+        # exponential fits run, the classical one from the line of log|y|
+        study = make_synthetic_study(seed=3)
+        path = tmp_path / "study.csv"
+        write_dataset(path, study.diseased, study.healthy)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\ntransform = neg_inv_sqrt\n")
+        for variant in ("classical", "robust"):
+            out = tmp_path / variant
+            assert _run(["fit", path, "--config", ini, "--model", "exponential",
+                         "--variant", variant, "--out", out, "--seed", "3"]) == 0
+            report = json.loads((out / "fit_report.json").read_text())
+            for group in ("diseased", "healthy"):
+                assert report[group]["converged"]
+                assert report[group]["beta_hat"][0] < 0
+
     @pytest.mark.parametrize("n_subsamples", [500, 16])
     def test_exponential_honours_n_subsamples(self, tmp_path, monkeypatch,
                                               n_subsamples):

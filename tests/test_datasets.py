@@ -1,4 +1,6 @@
 """Dataset CSV I/O and the synthetic glucose-style study generator."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,29 @@ class TestRoundTrip:
             assert sample.y.tobytes() == oracle[:, 0].tobytes()
             assert sample.x.tobytes() == np.ascontiguousarray(oracle[:, 1:]).tobytes()
             assert sample.x.shape == (2, 2)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bytes_of_csv_writer(self, tmp_path, p):
+        # one format call per row writes what csv.writer with a '%.17g' cell
+        # each wrote, for signed zeros, subnormals, huge values and neighbours
+        edges = [0.0, -0.0, 1.0, 5e-324, 1e-300, -1e308, 0.1]
+        values = np.array(edges + [np.nextafter(v, np.inf) for v in edges]
+                          + [np.nextafter(v, -np.inf) for v in edges])
+        d = PopulationSample(Group.DISEASED, values, np.column_stack(
+            [np.roll(values, k + 1) for k in range(p)]))
+        h = PopulationSample(Group.HEALTHY, values[::-1], np.random.default_rng(
+            p).standard_normal((values.size, p)))
+        path = tmp_path / "data.csv"
+        write_dataset(path, d, h)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["group", "y"] + [f"x{j + 1}" for j in range(p)])
+            for sample in (d, h):
+                for y, xrow in zip(sample.y, sample.x):
+                    writer.writerow([sample.label.value, "%.17g" % y]
+                                    + ["%.17g" % v for v in xrow])
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_scenario_dataset(self, tmp_path):
         path = tmp_path / "sim.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 from scipy.special import ndtri
 
 from robustroc import robust
@@ -780,25 +780,80 @@ class TestFitLeastSquares:
         assert np.all(np.isfinite(fit.predict(s.x)))
 
     def test_exponential_starts_log_linear(self, monkeypatch):
-        # the descent starts at the least-squares line of log y on x, in the
+        # the Newton iteration in b2 starts at the slope of the least-squares
+        # line of log|y| on x over the markers of the majority sign, in the
         # centred covariate
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, 80)
-        s = PopulationSample(Group.DISEASED, 5.0 * np.exp(2.0 * x)
-                             + 0.1 * rng.standard_normal(80), x)
+        y = 5.0 * np.exp(2.0 * x) + 0.1 * rng.standard_normal(80)
         starts = []
+        projection = robust._exponential_projection
 
-        def spy(y, f, J, beta, *args, **kwargs):
-            starts.append(beta)
-            return descend(y, f, J, beta, *args, **kwargs)
+        def spy(t, y_, b2, *args):
+            starts.append((t, b2))
+            return projection(t, y_, b2, *args)
 
-        descend = robust._descend
-        monkeypatch.setattr(robust, "_descend", spy)
-        fit = fit_least_squares(s, EXP_SPEC)
-        log_linear = robust._shift_exponential(robust._initial_beta_exponential(s),
-                                               -float(np.mean(s.x)))
-        assert len(starts) == 1 and np.array_equal(starts[0], log_linear)
-        np.testing.assert_allclose(fit.beta_hat, [5.0, 2.0], atol=0.1)
+        monkeypatch.setattr(robust, "_exponential_projection", spy)
+        mixed = y.copy()
+        mixed[:30] *= -1.0                  # a minority of positive markers
+        fits = []
+        for markers, keep in ((y, y > 0), (-y, y > 0), (-mixed, mixed > 0)):
+            starts.clear()
+            fits.append(fit_least_squares(PopulationSample(Group.DISEASED, markers,
+                                                           x), EXP_SPEC))
+            slope = np.polyfit(x[keep], np.log(np.abs(markers[keep])), 1)[0]
+            (t, b2), = starts
+            assert np.array_equal(t, x - np.mean(x))
+            assert b2 == pytest.approx(slope, rel=1e-12)
+            assert fits[-1].converged
+        np.testing.assert_allclose(fits[0].beta_hat, [5.0, 2.0], atol=0.1)
+        np.testing.assert_allclose(fits[1].beta_hat, [-5.0, 2.0], atol=0.1)
+
+    @pytest.mark.parametrize("start", [None, -40.0, 40.0],
+                             ids=["log-linear", "far-below", "far-above"])
+    def test_exponential_steps_stay_in_safe_range(self, start, monkeypatch):
+        # every trial b2 of the variable projection keeps e = exp(b2 d) <= 1,
+        # so Phi and its derivatives stay finite; a step is Newton's where
+        # Phi'' < 0, else 1 / max|t| in the sign of Phi', halved while it
+        # lowers Phi by more than rounding. Far starts reach the same fit.
+        samples = [_exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
+                   for seed in range(4)]
+        reference = [fit_least_squares(s_, EXP_SPEC) for s_ in samples]
+        states = []
+        state = robust._projection_state
+
+        def spy(b2, d, *args):
+            out = state(b2, d, *args)
+            states.append((b2, float(np.max(b2 * d)), out))
+            return out
+
+        monkeypatch.setattr(robust, "_projection_state", spy)
+        if start is not None:
+            monkeypatch.setattr(robust, "_log_linear_slope", lambda x, y: start)
+        signed = 0
+        for sample, ref in zip(samples, reference):
+            span = float(np.max(np.abs(sample.x - np.mean(sample.x))))
+            states.clear()
+            fit = fit_least_squares(sample, EXP_SPEC)
+            assert fit.converged
+            np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
+            assert all(top <= 0.0 and np.all(np.isfinite(out))
+                       for _, top, out in states)
+            (b2, _, current), step, accepted = states[0], None, 0
+            for trial_b2, _, out in states[1:]:
+                if step is None:             # the first trial from b2
+                    _, d1, d2, _ = current
+                    step = -d1 / d2 if d2 < 0 else np.copysign(1.0 / span, d1)
+                    signed += d2 >= 0
+                assert trial_b2 == b2 + step
+                if out[0] >= current[0] * (1.0 - robust._OBJECTIVE_ROUNDING):
+                    b2, current, step = trial_b2, out, None
+                    accepted += 1
+                else:
+                    step = step / 2.0
+            assert accepted == fit.iterations and step is None
+        # only a far start meets Phi'' >= 0
+        assert (signed > 0) == (start is not None)
 
     def test_exponential_constant_covariate(self):
         s = PopulationSample(Group.DISEASED, [1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
@@ -849,7 +904,7 @@ class TestFitLeastSquares:
         assert big.beta_hat[0] / 1e300 == pytest.approx(fit.beta_hat[0], rel=1e-12)
 
     def test_exponential_reaches_the_optimum(self):
-        # the Gauss-Newton descent stops at a stationary point of sum(r^2):
+        # the variable projection stops at a stationary point of sum(r^2):
         # the residuals are orthogonal to the Jacobian's columns
         for seed in range(10):
             for shift in (None, 10.0):
@@ -859,7 +914,113 @@ class TestFitLeastSquares:
                 J = EXP_SPEC.gradient(s.x, fit.beta_hat)
                 cos = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0)
                                          * np.linalg.norm(r))
-                assert fit.converged and np.max(cos) < 1e-8
+                assert fit.converged and np.max(cos) < 1e-12
+
+    @pytest.mark.parametrize("k", [300.0, 600.0])
+    def test_steep_exponential_converges(self, k):
+        # markers up to e^{k - 400}: e'e would overflow past b2 max|t| = 354,
+        # but e is divided by its largest entry, and the fit converges in a
+        # few steps
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, 100)
+        y = 3.0 * np.exp(k * x - 400.0) * (1.0 + 0.01 * rng.standard_normal(100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_least_squares(PopulationSample(Group.HEALTHY, y, x), EXP_SPEC)
+        assert fit.converged and fit.iterations <= 10
+        assert fit.beta_hat[1] == pytest.approx(k, rel=0.01)
+
+    @pytest.mark.parametrize("kind", ["clean", "nonlinear_shift"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exponential_matches_scipy(self, seed, kind):
+        scheme = (ContaminationScheme(ContaminationKind.NONLINEAR_SHIFT, 0.05, 10.0)
+                  if kind == "nonlinear_shift" else ContaminationScheme())
+        for sample in generate(ScenarioSpec(ScenarioKind.NONLINEAR, seed=seed),
+                               scheme):
+            fit = fit_least_squares(sample, EXP_SPEC)
+            beta = _scipy_exponential_fit(sample)
+            np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8, atol=0.0)
+            r = sample.y - EXP_SPEC.predict(sample.x, beta)
+            assert fit.converged and fit.sigma_hat == pytest.approx(
+                np.sqrt(np.sum(r ** 2) / (sample.n - 2)), rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=-6.0, max_value=6.0), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_exponential_covariate_scale_equivariance(self, seed, log_c,
+                                                      contaminated):
+        # the start's slope and the stop |step| max|t| scale with x, so the
+        # fit of x * c is the fit of x mapped to (b1, b2 / c), sigma unchanged
+        c = 10.0 ** log_c
+        s = _exp_sample(seed, n=100, shift=10.0 if contaminated else None)
+        fit = fit_least_squares(s, EXP_SPEC)
+        scaled = fit_least_squares(PopulationSample(s.label, s.y, c * s.x), EXP_SPEC)
+        assert scaled.beta_hat[0] == pytest.approx(fit.beta_hat[0], rel=1e-12)
+        assert scaled.beta_hat[1] * c == pytest.approx(fit.beta_hat[1], rel=1e-12)
+        assert scaled.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=-30.0, max_value=30.0), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_exponential_covariate_shift_equivariance(self, seed, a, contaminated):
+        # the fit runs in x - mean(x): the fit of x + a is the fit of x mapped
+        # to (b1 e^{-b2 a}, b2), sigma unchanged
+        s = _exp_sample(seed, n=100, shift=10.0 if contaminated else None)
+        fit = fit_least_squares(s, EXP_SPEC)
+        moved = fit_least_squares(PopulationSample(s.label, s.y, s.x + a), EXP_SPEC)
+        assert moved.beta_hat[0] * np.exp(moved.beta_hat[1] * a) == pytest.approx(
+            fit.beta_hat[0], rel=1e-12)
+        assert moved.beta_hat[1] == pytest.approx(fit.beta_hat[1], rel=1e-12)
+        assert moved.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=-300.0, max_value=300.0), st.booleans(),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    @example(seed=0, log_c=0.0, negative=True, contaminated=True)
+    @example(seed=1, log_c=-11.0, negative=True, contaminated=False)
+    @example(seed=2, log_c=300.0, negative=False, contaminated=True)
+    def test_exponential_marker_scale_equivariance(self, seed, log_c, negative,
+                                                   contaminated):
+        # the fit computes on y / max|y| and takes its start from the markers
+        # of the majority sign: the fit of y * c, c of either sign, is the fit
+        # of y mapped to (c b1, b2) and |c| sigma
+        c = (-1.0 if negative else 1.0) * 10.0 ** log_c
+        s = _exp_sample(seed, n=100, shift=10.0 if contaminated else None)
+        fit = fit_least_squares(s, EXP_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = fit_least_squares(PopulationSample(s.label, c * s.y, s.x),
+                                       EXP_SPEC)
+        assert scaled.converged and not scaled.degenerate_scale
+        assert scaled.beta_hat[0] / c == pytest.approx(fit.beta_hat[0], rel=1e-12)
+        assert scaled.beta_hat[1] == pytest.approx(fit.beta_hat[1], rel=1e-12)
+        assert scaled.sigma_hat / abs(c) == pytest.approx(fit.sigma_hat, rel=1e-12)
+
+
+def _scipy_exponential_fit(sample):
+    """Least squares of y ~ b1 exp(b2 x) by scipy.optimize.least_squares at
+    tight tolerances, from the least-squares line of log y on x. Its stops
+    read the sum of squares, which rounding leaves flat within about
+    sqrt(eps) of the minimum, so a second solve, of the normal equations
+    J'r = 0, starts from the first one's result and pins the minimum."""
+    x, y = sample.x[:, 0], sample.y
+    tight = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+
+    def residuals_and_jacobian(beta):
+        e = np.exp(beta[1] * x)
+        return beta[0] * e - y, np.column_stack([e, beta[0] * x * e])
+
+    slope, intercept = np.polyfit(x, np.log(y), 1)
+    first = least_squares(lambda b: residuals_and_jacobian(b)[0],
+                          [np.exp(intercept), slope],
+                          jac=lambda b: residuals_and_jacobian(b)[1], **tight)
+
+    def normal_equations(beta):
+        r, J = residuals_and_jacobian(beta)
+        return J.T @ r
+
+    return least_squares(normal_equations, first.x, **tight).x
 
 
 # The bisquare functions written with np.where, as they were before min(z, 1)
@@ -1180,7 +1341,7 @@ def _family_curve(family, x):
 
 
 class TestDescent:
-    """The one reweighted Gauss-Newton descent behind every iterative fit."""
+    """The one safeguarded Newton descent behind both stages of both MM fits."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_s_stage_starts_from_screened_winner(self, family, monkeypatch):
@@ -1395,33 +1556,6 @@ class TestDescent:
         sw = np.sqrt(w)
         assert np.array_equal(A, X * sw[:, None]) and np.array_equal(rhs, r * sw)
         assert np.array_equal(beta, weighted_step(A, rhs))
-
-    def test_unit_weight_descent_forms_no_curvature_system(self, monkeypatch):
-        # the classical exponential fit keeps its IRLS steps: every Gram
-        # matrix it solves comes from `_weighted_step`, while an MM fit also
-        # solves curvature systems
-        inside, outside = [0], []
-        weighted_step, solve_gram = robust._weighted_step, robust._solve_gram
-
-        def step_spy(A, rhs):
-            inside[0] += 1
-            return weighted_step(A, rhs)
-
-        def gram_spy(G):
-            outside.append(inside[0] == 0)
-            return solve_gram(G)
-
-        monkeypatch.setattr(robust, "_weighted_step", step_spy)
-        monkeypatch.setattr(robust, "_solve_gram", gram_spy)
-        for seed in range(4):
-            sample = _exp_sample(seed, n=100, shift=10.0 if seed % 2 else None)
-            inside[0] = 0
-            outside.clear()
-            assert fit_least_squares(sample, EXP_SPEC).converged
-            assert inside[0] > 0 and not any(outside)
-        inside[0] = 0
-        fit_mm_nonlinear(sample, EXP_SPEC, MMConfig(seed=1))
-        assert any(outside)
 
     @pytest.mark.parametrize("p, intercept", [(2, True), (1, False)],
                              ids=["q3", "q1"])
